@@ -7,16 +7,11 @@
 //! Output: the per-repetition CIs, then a sweep over true `α` marking
 //! which method's hull still contains `γ(A(α))`.
 
-// Deliberately drives the deprecated free-function entry points: these
-// reproduction artefacts pin the legacy API until it is removed (the
-// Session layer shares the same engines bit-for-bit).
-#![allow(deprecated)]
 use imc_models::repair;
 use imc_numeric::{linspace, reach_before_return, SolveOptions};
 use imc_stats::ConfidenceInterval;
-use imcis_bench::{sci, setup, Scale};
-use imcis_core::experiment::{repeat_imcis, repeat_is};
-use imcis_core::ImcisConfig;
+use imcis_bench::{sci, Scale};
+use imcis_core::{ImcisSpec, Method, RunSpec, SampleSpec, ScenarioRef, Session};
 
 fn main() {
     let scale = Scale::from_args();
@@ -26,33 +21,55 @@ fn main() {
         reps, scale.n_traces
     );
 
-    let s = setup::repair_setup(repair::ALPHA_TRUE, repair::ALPHA_LO, repair::ALPHA_HI);
+    // The registry's `repair` defaults are the paper's α̂ = 1e-3 with the
+    // learnt interval [ALPHA_LO, ALPHA_HI].
+    let sample = SampleSpec {
+        n_traces: scale.n_traces,
+        ..SampleSpec::default()
+    };
+    let spec = |method| {
+        RunSpec::new(ScenarioRef::named("repair"), method, scale.seed).with_repetitions(reps)
+    };
+    let is_session =
+        Session::from_spec(spec(Method::StandardIs(sample))).expect("repair model builds");
     eprintln!(
         "γ(A(1e-3)) = {} (paper: {})",
-        sci(s.gamma_exact.expect("numeric")),
+        sci(is_session.setup().gamma_exact.expect("numeric")),
         sci(repair::GAMMA_PAPER)
     );
-
-    let config = ImcisConfig::new(scale.n_traces, 0.05)
-        .with_r_undefeated(scale.r_undefeated)
-        .with_r_max(scale.r_max);
-    let is_runs = repeat_is(&s.center, &s.b, &s.property, &config, reps, scale.seed);
-    let imcis_runs = repeat_imcis(&s.imc, &s.b, &s.property, &config, reps, scale.seed)
-        .expect("IMCIS runs succeed");
+    // IMCIS shares the built 40320-state setup instead of exploring again.
+    let imcis_session = Session::from_setup(
+        is_session.setup_shared(),
+        spec(Method::Imcis(ImcisSpec {
+            sample,
+            r_undefeated: scale.r_undefeated,
+            r_max: scale.r_max,
+            ..ImcisSpec::default()
+        })),
+    );
+    let cis = |session: &Session| -> Vec<ConfidenceInterval> {
+        session
+            .run_outcomes()
+            .expect("repair runs succeed")
+            .iter()
+            .map(|o| o.ci)
+            .collect()
+    };
+    let (is_cis, imcis_cis) = (cis(&is_session), cis(&imcis_session));
 
     println!("rep\tis_lo\tis_hi\timcis_lo\timcis_hi");
-    for (rep, (is, im)) in is_runs.iter().zip(&imcis_runs).enumerate() {
+    for (rep, (is, im)) in is_cis.iter().zip(&imcis_cis).enumerate() {
         println!(
             "{rep}\t{:.6e}\t{:.6e}\t{:.6e}\t{:.6e}",
-            is.ci.lo(),
-            is.ci.hi(),
-            im.ci.lo(),
-            im.ci.hi()
+            is.lo(),
+            is.hi(),
+            im.lo(),
+            im.hi()
         );
     }
     let hull = |cis: &[ConfidenceInterval]| cis.iter().skip(1).fold(cis[0], |acc, ci| acc.hull(ci));
-    let is_hull = hull(&is_runs.iter().map(|o| o.ci).collect::<Vec<_>>());
-    let imcis_hull = hull(&imcis_runs.iter().map(|o| o.ci).collect::<Vec<_>>());
+    let is_hull = hull(&is_cis);
+    let imcis_hull = hull(&imcis_cis);
     eprintln!(
         "IS captured values in    [{}, {}]",
         sci(is_hull.lo()),

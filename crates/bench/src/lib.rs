@@ -1,20 +1,11 @@
-//! Experiment harness for the IMCIS reproduction: shared setups for every
-//! table and figure of the paper, plus scaling/printing utilities used by
-//! the `exp_*` binaries and the Criterion benches.
-//!
-//! Each binary regenerates one artefact of the paper's evaluation:
-//!
-//! | Binary                | Artefact |
-//! |-----------------------|----------|
-//! | `exp_margin_of_error` | §III-B worked example |
-//! | `exp_table1`          | Table I (random-search statistics) |
-//! | `exp_table2`          | Table II (IS vs IMCIS comparison) |
-//! | `exp_fig2`            | Figure 2 (repair-model CI superposition) |
-//! | `exp_fig3`            | Figure 3 (optimisation convergence) |
-//! | `exp_fig4`            | Figure 4 (SWaT CIs) |
-//! | `exp_fig5`            | Figure 5 (γ(A(α)) sweep) |
-//! | `exp_repair_large`    | §VI-C text (40320-state repair model) |
-//! | `exp_parallel`        | engine scaling + prepared-estimator perf (`BENCH_parallel.json`) |
+//! Scaling and printing utilities shared by the `exp_*` binaries — the
+//! paper artefacts that no serialized report carries: Table I's
+//! per-parameter extrema (`exp_table1`), the Figure 5 numeric sweep
+//! (`exp_fig5`), the §VI-C robustness sweep over the true `α`
+//! (`exp_repair_large`) and the engine scaling smoke (`exp_parallel`).
+//! Every other table and figure is a checked-in `specs/paper_*.json`
+//! suite run by `imcis suite`; the README maps each artefact to its
+//! command.
 //!
 //! All binaries accept `--paper` (full paper-scale parameters), `--quick`
 //! (CI-friendly minimal scale), and individual overrides
@@ -22,8 +13,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod setup;
 
 use std::fmt::Display;
 

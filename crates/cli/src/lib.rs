@@ -41,8 +41,8 @@
 //! * `imcis` — the paper's Algorithm 1: importance sampling of an IMC.
 //!
 //! Models use the plain-text format of [`imc_markov::io`]. Every command
-//! is a thin adapter over the same library code paths the benches and
-//! examples use — `imcis run` in particular prints exactly what the
+//! is a thin adapter over the same library code paths the `exp_*`
+//! binaries and examples use — `imcis run` in particular prints exactly what the
 //! library `Session` computes.
 
 #![forbid(unsafe_code)]

@@ -51,11 +51,10 @@ use imc_sampling::{
     zero_variance_is, CrossEntropyConfig, DupuisWangConfig,
 };
 use imc_sim::{monte_carlo, SmcConfig};
-use imc_stats::ConfidenceInterval;
+use imc_stats::{coverage, ConfidenceInterval, Summary};
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::algorithm::{imcis_impl, standard_is_impl};
-use crate::experiment::CoverageSummary;
 use crate::report::{Repetition, Report, Timing};
 use crate::spec::{
     AdaptiveSpec, CrossEntropySpec, ImcisSpec, Method, RunSpec, SampleSpec, SpecError,
@@ -331,11 +330,11 @@ impl Session {
         })
     }
 
-    /// Wraps an already-built setup (ad-hoc models, tests, the legacy
-    /// free functions). The spec's scenario reference is kept verbatim
-    /// and only documents provenance. Accepts an owned [`Setup`] or an
-    /// [`Arc<Setup>`]; pass an `Arc` clone to run several methods on one
-    /// built scenario without copying the models.
+    /// Wraps an already-built setup (ad-hoc models, tests). The spec's
+    /// scenario reference is kept verbatim and only documents
+    /// provenance. Accepts an owned [`Setup`] or an [`Arc<Setup>`]; pass
+    /// an `Arc` clone to run several methods on one built scenario
+    /// without copying the models.
     pub fn from_setup(setup: impl Into<Arc<Setup>>, spec: RunSpec) -> Self {
         Session {
             setup: setup.into(),
@@ -508,6 +507,58 @@ impl Session {
             per_run_ms.push(ms);
         }
         Ok((outcomes, per_run_ms))
+    }
+}
+
+/// Coverage summary of one session's repetitions — the interval and
+/// coverage columns of the paper's Table II, folded into the [`Report`].
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct CoverageSummary {
+    /// Mean lower CI bound across repetitions.
+    pub(crate) mean_lo: f64,
+    /// Mean upper CI bound across repetitions.
+    pub(crate) mean_hi: f64,
+    /// Fraction of repetitions whose CI contains `γ(Â)` (when supplied).
+    pub(crate) coverage_gamma_hat: Option<f64>,
+    /// Fraction of repetitions whose CI contains the true system's exact
+    /// `γ` (when supplied).
+    pub(crate) coverage_gamma_true: Option<f64>,
+}
+
+impl CoverageSummary {
+    /// Builds the summary from per-repetition confidence intervals.
+    ///
+    /// Coverage is counted with a relative tolerance of `1e-9`: a
+    /// zero-variance IS run produces a CI that is *mathematically* the
+    /// point `γ(Â)` but differs from it by floating-point ulps, and the
+    /// paper counts such intervals as covering (its illustrative IS row
+    /// reports 100% coverage of `γ(Â)`).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty slice.
+    pub(crate) fn from_cis(
+        cis: &[ConfidenceInterval],
+        gamma_center: Option<f64>,
+        gamma_exact: Option<f64>,
+    ) -> Self {
+        assert!(!cis.is_empty(), "no repetitions to summarise");
+        let lo = Summary::from_values(cis.iter().map(ConfidenceInterval::lo));
+        let hi = Summary::from_values(cis.iter().map(ConfidenceInterval::hi));
+        let cover = |g: f64| {
+            let tol = 1e-9 * g.abs();
+            let widened: Vec<ConfidenceInterval> = cis
+                .iter()
+                .map(|ci| ConfidenceInterval::new(ci.lo() - tol, ci.hi() + tol))
+                .collect();
+            coverage(&widened, g)
+        };
+        CoverageSummary {
+            mean_lo: lo.average(),
+            mean_hi: hi.average(),
+            coverage_gamma_hat: gamma_center.map(cover),
+            coverage_gamma_true: gamma_exact.map(cover),
+        }
     }
 }
 
@@ -914,6 +965,8 @@ impl StageEstimator for DupuisWangEstimator {
 mod tests {
     use super::*;
     use crate::spec::{ScenarioRef, SearchSpec};
+    use imc_logic::Property;
+    use imc_markov::{DtmcBuilder, Imc, StateSet};
     use imc_models::illustrative;
 
     fn illustrative_spec(method: Method) -> RunSpec {
@@ -1106,5 +1159,104 @@ mod tests {
             Session::from_spec(spec),
             Err(SessionError::Scenario(ScenarioError::UnknownScenario(_)))
         ));
+    }
+
+    /// An ad-hoc coin: `0 → 1` with `p_center`, else `0 → 2`, learnt as
+    /// `p_center ± eps`; the centre chain doubles as the IS chain.
+    fn coin_setup(p_center: f64, eps: f64) -> Setup {
+        let mut cb = DtmcBuilder::new(3);
+        cb.add_transition(0, 1, p_center)
+            .add_transition(0, 2, 1.0 - p_center)
+            .add_self_loop(1)
+            .add_self_loop(2);
+        let center = cb.build().unwrap();
+        Setup {
+            name: "coin".into(),
+            imc: Imc::from_center(&center, |_, _| eps).unwrap(),
+            b: center.clone(),
+            center,
+            property: Property::reach_avoid(
+                StateSet::from_states(3, [1]),
+                StateSet::from_states(3, [2]),
+            ),
+            gamma_center: None,
+            gamma_exact: None,
+        }
+    }
+
+    fn coin_cis(setup: &Setup, method: Method, reps: usize, seed: u64) -> Vec<ConfidenceInterval> {
+        let spec = RunSpec::new(ScenarioRef::named("coin"), method, seed).with_repetitions(reps);
+        Session::from_setup(setup.clone(), spec)
+            .run_outcomes()
+            .unwrap()
+            .iter()
+            .map(|o| o.ci)
+            .collect()
+    }
+
+    fn coin_imcis(n_traces: usize, r_undefeated: usize, r_max: usize) -> Method {
+        Method::Imcis(ImcisSpec {
+            sample: SampleSpec {
+                n_traces,
+                ..SampleSpec::default()
+            },
+            r_undefeated,
+            r_max,
+            ..ImcisSpec::default()
+        })
+    }
+
+    #[test]
+    fn repetitions_are_deterministic_given_seed() {
+        let setup = coin_setup(0.3, 0.05);
+        let run1 = coin_cis(&setup, coin_imcis(500, 50, 2000), 4, 99);
+        let run2 = coin_cis(&setup, coin_imcis(500, 50, 2000), 4, 99);
+        for (a, b) in run1.iter().zip(&run2) {
+            assert_eq!(a.lo(), b.lo());
+            assert_eq!(a.hi(), b.hi());
+        }
+        // Different repetitions genuinely differ.
+        assert_ne!(run1[0].lo(), run1[1].lo());
+    }
+
+    #[test]
+    fn imcis_coverage_dominates_is_coverage() {
+        // True p = 0.27; learnt centre 0.3 ± 0.05. Standard IS targets the
+        // centre and should often miss the truth relative to IMCIS.
+        let setup = coin_setup(0.3, 0.05);
+        let reps = 12;
+        let imcis_cis = coin_cis(&setup, coin_imcis(800, 60, 3000), reps, 7);
+        let is_sample = SampleSpec {
+            n_traces: 800,
+            ..SampleSpec::default()
+        };
+        let is_cis = coin_cis(&setup, Method::StandardIs(is_sample), reps, 7);
+        let truth = 0.27;
+        let imcis_cov = coverage(&imcis_cis, truth);
+        let is_cov = coverage(&is_cis, truth);
+        assert!(
+            imcis_cov >= is_cov,
+            "IMCIS coverage {imcis_cov} below IS coverage {is_cov}"
+        );
+        assert!(imcis_cov > 0.9, "IMCIS coverage too low: {imcis_cov}");
+    }
+
+    #[test]
+    fn summary_reports_table2_columns() {
+        let cis = vec![
+            ConfidenceInterval::new(0.1, 0.3),
+            ConfidenceInterval::new(0.15, 0.35),
+        ];
+        let summary = CoverageSummary::from_cis(&cis, Some(0.2), Some(0.5));
+        assert!((summary.mean_lo - 0.125).abs() < 1e-12);
+        assert!((summary.mean_hi - 0.325).abs() < 1e-12);
+        assert_eq!(summary.coverage_gamma_hat, Some(1.0));
+        assert_eq!(summary.coverage_gamma_true, Some(0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "no repetitions")]
+    fn empty_summary_panics() {
+        let _ = CoverageSummary::from_cis(&[], None, None);
     }
 }

@@ -104,8 +104,8 @@ pub enum GroupRepairIs {
     /// our empirical per-transition CE is heavier-tailed than Ridder's
     /// structured change of measure, so estimates need larger `N`).
     CrossEntropy,
-    /// Zero-variance chain from the numeric engine (deterministic, used by
-    /// the Criterion benches; makes the IS baseline's CI degenerate).
+    /// Zero-variance chain from the numeric engine (deterministic; makes
+    /// the IS baseline's CI degenerate).
     ZeroVariance,
     /// `w·ZV + (1−w)·Â` row mixture: a *good but imperfect* IS chain with
     /// bounded per-step likelihood ratios. This reproduces the paper's

@@ -8,8 +8,6 @@
 //!
 //! * [`ChainSampler`] — Walker alias tables in flat CSR arrays, O(1) per
 //!   step with no per-row pointer chasing;
-//! * [`CdfSampler`] — binary-search inversion sampler (ablation baseline),
-//!   with build-time row renormalisation;
 //! * [`simulate`] / [`simulate_path`] — monitor-driven trace generation;
 //! * [`BatchRunner`] ([`engine`]) — the parallel deterministic batch
 //!   engine: counter-based per-trace RNG streams ([`trace_rng`]) fanned
@@ -17,9 +15,7 @@
 //! * [`parallel`] — static-partition fan-out primitives the engine and
 //!   the experiment harness share;
 //! * [`monte_carlo`] — crude Monte Carlo SMC with normal confidence
-//!   intervals (§II-C), batch-parallel via the engine;
-//! * [`sprt`] — Wald's sequential probability ratio test, the
-//!   hypothesis-testing flavour of SMC the paper cites \[28\].
+//!   intervals (§II-C), batch-parallel via the engine.
 //!
 //! # Example
 //!
@@ -52,13 +48,11 @@ pub mod engine;
 pub mod parallel;
 mod sampler;
 mod smc;
-mod sprt;
 mod trace;
 
 pub use engine::{splitmix64, stream_seed, trace_rng, BatchRunner};
-pub use sampler::{CdfSampler, ChainSampler, StateSampler};
+pub use sampler::{ChainSampler, StateSampler};
 pub use smc::{monte_carlo, SmcConfig, SmcResult};
-pub use sprt::{sprt, SprtConfig, SprtDecision, SprtResult};
 pub use trace::{
     random_walk, simulate, simulate_counts_into, simulate_path, simulate_verdict, TraceOutcome,
 };

@@ -5,8 +5,7 @@ use rand::Rng;
 ///
 /// Implementations precompute per-state lookup structures from a [`Dtmc`];
 /// whether the chain stays borrowed afterwards depends on the
-/// implementation ([`ChainSampler`] borrows the chain's CSR arrays,
-/// [`CdfSampler`] owns its tables).
+/// implementation ([`ChainSampler`] borrows the chain's CSR arrays).
 pub trait StateSampler {
     /// Samples a successor of `state`.
     fn step<R: Rng + ?Sized>(&self, state: State, rng: &mut R) -> State;
@@ -112,80 +111,80 @@ impl StateSampler for ChainSampler<'_> {
     }
 }
 
-/// Inversion sampler: binary search over per-state cumulative distributions.
-///
-/// O(log row length) per draw; kept as the ablation baseline for the
-/// row-sampling bench and as a reference implementation for testing the
-/// alias tables. Tables are owned, flattened into CSR-shaped arrays.
-#[derive(Debug, Clone)]
-pub struct CdfSampler {
-    /// Slot range of state `s` is `offsets[s]..offsets[s + 1]`.
-    offsets: Vec<usize>,
-    cumulative: Vec<f64>,
-    targets: Vec<u32>,
-}
-
-impl CdfSampler {
-    /// Builds cumulative rows for every state of `chain`.
-    ///
-    /// Rows are renormalised by their actual sum at build time: a row is
-    /// only guaranteed stochastic within [`imc_markov::ROW_SUM_TOLERANCE`],
-    /// and clamping just the final bucket to `1.0` would silently dump all
-    /// of that rounding drift onto the last transition. Dividing every
-    /// cumulative value by the true row sum spreads the correction
-    /// proportionally across the row; the final bucket is then pinned to
-    /// exactly `1.0` so every draw of `u ∈ [0, 1)` lands in a bucket.
-    pub fn new(chain: &Dtmc) -> Self {
-        let offsets = chain.row_offsets().to_vec();
-        let targets = chain.transition_targets().to_vec();
-        let mut cumulative = Vec::with_capacity(chain.num_transitions());
-        let probs = chain.transition_probs();
-        for s in 0..chain.num_states() {
-            let (start, end) = (offsets[s], offsets[s + 1]);
-            let mut acc = 0.0;
-            for &p in &probs[start..end] {
-                acc += p;
-                cumulative.push(acc);
-            }
-            let total = acc;
-            let cum = &mut cumulative[start..];
-            for c in cum.iter_mut() {
-                *c /= total;
-            }
-            if let Some(last) = cum.last_mut() {
-                *last = 1.0;
-            }
-        }
-        CdfSampler {
-            offsets,
-            cumulative,
-            targets,
-        }
-    }
-}
-
-impl StateSampler for CdfSampler {
-    fn step<R: Rng + ?Sized>(&self, state: State, rng: &mut R) -> State {
-        let (start, end) = (self.offsets[state], self.offsets[state + 1]);
-        let cum = &self.cumulative[start..end];
-        if cum.len() == 1 {
-            return self.targets[start] as State;
-        }
-        let u: f64 = rng.gen();
-        let idx = cum.partition_point(|&c| c < u);
-        self.targets[start + idx.min(cum.len() - 1)] as State
-    }
-
-    fn num_states(&self) -> usize {
-        self.offsets.len() - 1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use imc_markov::DtmcBuilder;
     use rand::SeedableRng;
+
+    /// Inversion sampler: binary search over per-state cumulative
+    /// distributions, O(log row length) per draw; the reference implementation the alias
+    /// tables are tested against. Tables are owned, flattened into
+    /// CSR-shaped arrays.
+    #[derive(Debug, Clone)]
+    struct CdfSampler {
+        /// Slot range of state `s` is `offsets[s]..offsets[s + 1]`.
+        offsets: Vec<usize>,
+        cumulative: Vec<f64>,
+        targets: Vec<u32>,
+    }
+
+    impl CdfSampler {
+        /// Builds cumulative rows for every state of `chain`.
+        ///
+        /// Rows are renormalised by their actual sum at build time: a row
+        /// is only guaranteed stochastic within
+        /// `imc_markov::ROW_SUM_TOLERANCE`, and clamping just the final
+        /// bucket to `1.0` would silently dump all of that rounding drift
+        /// onto the last transition. Dividing every cumulative value by
+        /// the true row sum spreads the correction proportionally across
+        /// the row; the final bucket is then pinned to exactly `1.0` so
+        /// every draw of `u ∈ [0, 1)` lands in a bucket.
+        fn new(chain: &Dtmc) -> Self {
+            let offsets = chain.row_offsets().to_vec();
+            let targets = chain.transition_targets().to_vec();
+            let mut cumulative = Vec::with_capacity(chain.num_transitions());
+            let probs = chain.transition_probs();
+            for s in 0..chain.num_states() {
+                let (start, end) = (offsets[s], offsets[s + 1]);
+                let mut acc = 0.0;
+                for &p in &probs[start..end] {
+                    acc += p;
+                    cumulative.push(acc);
+                }
+                let total = acc;
+                let cum = &mut cumulative[start..];
+                for c in cum.iter_mut() {
+                    *c /= total;
+                }
+                if let Some(last) = cum.last_mut() {
+                    *last = 1.0;
+                }
+            }
+            CdfSampler {
+                offsets,
+                cumulative,
+                targets,
+            }
+        }
+    }
+
+    impl StateSampler for CdfSampler {
+        fn step<R: Rng + ?Sized>(&self, state: State, rng: &mut R) -> State {
+            let (start, end) = (self.offsets[state], self.offsets[state + 1]);
+            let cum = &self.cumulative[start..end];
+            if cum.len() == 1 {
+                return self.targets[start] as State;
+            }
+            let u: f64 = rng.gen();
+            let idx = cum.partition_point(|&c| c < u);
+            self.targets[start + idx.min(cum.len() - 1)] as State
+        }
+
+        fn num_states(&self) -> usize {
+            self.offsets.len() - 1
+        }
+    }
 
     fn test_chain() -> Dtmc {
         let mut b = DtmcBuilder::new(4);

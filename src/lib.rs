@@ -18,13 +18,14 @@
 //! | [`imc_numeric`] | reachability solvers, interval value iteration, sweeps |
 //! | [`imc_sim`] | CSR alias samplers, trace simulation, the parallel batch engine, crude Monte Carlo |
 //! | [`imc_sampling`] | IS estimator, `PreparedRun` hot-path cache, zero-variance / cross-entropy / failure biasing |
-//! | [`imc_optim`] | the IMCIS optimisation problem, random search, projected SGD |
+//! | [`imc_optim`] | the IMCIS optimisation problem, sequential and batched random search |
 //! | [`imc_models`] | the paper's benchmark systems and the scenario registry |
 //! | [`imcis_core`] | the `RunSpec → SuiteSpec → Session → Report/SuiteReport` API over Algorithm 1 end-to-end, plus [`imcis_core::serve`] — the suite-serving daemon |
 //!
 //! (Two more crates complete the workspace without being library
 //! dependencies of this root crate: `imcis_cli` — the `imcis` binary —
-//! and `imcis_bench`, the criterion benches and `exp_*` binaries.)
+//! and `imcis_bench`, the `exp_*` binaries for the paper artefacts no
+//! report carries.)
 //!
 //! ## Experiment API
 //!
@@ -62,7 +63,8 @@
 //! The CLI (`imcis run <spec.json>`, `imcis suite <suite.json>`,
 //! `imcis serve` / `imcis submit`), the `exp_*` binaries and the
 //! examples are thin adapters over this; checked-in manifests live in
-//! `specs/`.
+//! `specs/`, including the paper's Table II and Figures 2–4 as
+//! `specs/paper_*.json` suites.
 //!
 //! ## Engine architecture
 //!
@@ -145,8 +147,6 @@ pub mod prelude {
     };
     pub use imc_sim::{monte_carlo, ChainSampler, SmcConfig};
     pub use imc_stats::{normal_quantile, ConfidenceInterval};
-    #[allow(deprecated)]
-    pub use imcis_core::{imcis, standard_is};
     pub use imcis_core::{
         Estimator, ImcisConfig, ImcisOutcome, Method, Report, RunSpec, Session, Suite, SuiteReport,
         SuiteSpec,

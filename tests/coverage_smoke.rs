@@ -1,43 +1,47 @@
 //! Reduced-scale coverage experiments: the Table II shape — IMCIS coverage
 //! dominates IS coverage — must hold even at smoke-test scale.
 
-// Deliberately drives the deprecated free-function entry points: these
-// reproduction artefacts pin the legacy API until it is removed (the
-// Session layer shares the same engines bit-for-bit).
-#![allow(deprecated)]
-use imc_markov::StateSet;
 use imc_models::illustrative;
-use imc_numeric::SolveOptions;
-use imc_sampling::zero_variance_is;
 use imc_stats::coverage;
-use imcis_core::experiment::{repeat_imcis, repeat_is, CoverageSummary};
-use imcis_core::ImcisConfig;
+use imcis_core::{ImcisSpec, Method, Report, RunSpec, SampleSpec, ScenarioRef, Session};
+
+/// Runs `reps` repetitions of `method` on the registry's illustrative
+/// scenario (the paper's §VI-A setup under the perfect IS chain for `Â`).
+fn illustrative_report(method: Method, reps: usize, seed: u64) -> Report {
+    let spec =
+        RunSpec::new(ScenarioRef::named("illustrative"), method, seed).with_repetitions(reps);
+    Session::from_spec(spec)
+        .and_then(|session| session.run())
+        .expect("illustrative repetitions succeed")
+}
+
+fn imcis(n_traces: usize, r_undefeated: usize, r_max: usize) -> Method {
+    Method::Imcis(ImcisSpec {
+        sample: SampleSpec {
+            n_traces,
+            ..SampleSpec::default()
+        },
+        r_undefeated,
+        r_max,
+        ..ImcisSpec::default()
+    })
+}
 
 #[test]
 fn table2_shape_on_the_illustrative_model() {
-    let center = illustrative::dtmc(illustrative::A_HAT, illustrative::C_HAT);
-    let imc = illustrative::paper_imc().expect("paper IMC consistent");
-    let b = zero_variance_is(
-        &center,
-        &StateSet::from_states(4, [illustrative::S2]),
-        &StateSet::new(4),
-        &SolveOptions::default(),
-    )
-    .expect("ZV exists");
-    let property = illustrative::property();
     let gamma = illustrative::gamma(illustrative::A_TRUE, illustrative::C_TRUE);
     let gamma_center = illustrative::gamma(illustrative::A_HAT, illustrative::C_HAT);
 
     let reps = 10;
-    let config = ImcisConfig::new(2000, 0.05)
-        .with_r_undefeated(150)
-        .with_r_max(10_000);
-    let is_runs = repeat_is(&center, &b, &property, &config, reps, 42);
-    let imcis_runs =
-        repeat_imcis(&imc, &b, &property, &config, reps, 42).expect("IMCIS repetitions succeed");
+    let is_sample = SampleSpec {
+        n_traces: 2000,
+        ..SampleSpec::default()
+    };
+    let is_report = illustrative_report(Method::StandardIs(is_sample), reps, 42);
+    let imcis_report = illustrative_report(imcis(2000, 150, 10_000), reps, 42);
 
-    let is_cis: Vec<_> = is_runs.iter().map(|o| o.ci).collect();
-    let imcis_cis: Vec<_> = imcis_runs.iter().map(|o| o.ci).collect();
+    let is_cis: Vec<_> = is_report.runs.iter().map(|r| r.ci).collect();
+    let imcis_cis: Vec<_> = imcis_report.runs.iter().map(|r| r.ci).collect();
 
     // IS: zero-width intervals at γ(Â) -> 0% coverage of the true γ.
     assert_eq!(coverage(&is_cis, gamma), 0.0);
@@ -45,11 +49,10 @@ fn table2_shape_on_the_illustrative_model() {
     assert_eq!(coverage(&imcis_cis, gamma), 1.0);
     assert_eq!(coverage(&imcis_cis, gamma_center), 1.0);
 
-    // The summary counts the degenerate IS intervals as covering γ(Â)
+    // The report counts the degenerate IS intervals as covering γ(Â)
     // (ulp tolerance), as the paper does.
-    let is_summary = CoverageSummary::from_cis(&is_cis, Some(gamma_center), Some(gamma));
-    assert_eq!(is_summary.coverage_gamma_hat, Some(1.0));
-    assert_eq!(is_summary.coverage_gamma_true, Some(0.0));
+    assert_eq!(is_report.coverage_gamma_hat, Some(1.0));
+    assert_eq!(is_report.coverage_gamma_true, Some(0.0));
 
     // Every IS interval is inside every IMCIS interval of the same rep
     // (Fig. 2's nesting observation).
@@ -62,20 +65,7 @@ fn table2_shape_on_the_illustrative_model() {
 fn imcis_intervals_are_mutually_consistent() {
     // Fig. 4's observation, smoke scale: independent IMCIS intervals
     // pairwise intersect (they all cover the same truth).
-    let center = illustrative::dtmc(illustrative::A_HAT, illustrative::C_HAT);
-    let imc = illustrative::paper_imc().expect("paper IMC consistent");
-    let b = zero_variance_is(
-        &center,
-        &StateSet::from_states(4, [illustrative::S2]),
-        &StateSet::new(4),
-        &SolveOptions::default(),
-    )
-    .expect("ZV exists");
-    let config = ImcisConfig::new(1000, 0.05)
-        .with_r_undefeated(100)
-        .with_r_max(5_000);
-    let runs = repeat_imcis(&imc, &b, &illustrative::property(), &config, 6, 9)
-        .expect("IMCIS repetitions succeed");
+    let runs = illustrative_report(imcis(1000, 100, 5_000), 6, 9).runs;
     for i in 0..runs.len() {
         for j in i + 1..runs.len() {
             assert!(

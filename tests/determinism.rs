@@ -16,16 +16,16 @@
 //! in the job list; with the variable unset every test sweeps the full
 //! `{1, 2, 8}` matrix.
 
-// Deliberately drives the deprecated free-function entry points: these
-// reproduction artefacts pin the legacy API until it is removed (the
-// Session layer shares the same engines bit-for-bit).
-#![allow(deprecated)]
 use imc_logic::Property;
 use imc_markov::{Dtmc, DtmcBuilder, Imc, StateSet};
+use imc_models::Setup;
 use imc_optim::{random_search, BatchSearch, Problem, RandomSearchConfig};
 use imc_sampling::{is_estimate, sample_is_run, IsConfig, IsRun, PreparedRun};
 use imc_sim::{monte_carlo, SmcConfig};
-use imcis_core::{imcis, ImcisConfig};
+use imcis_core::{
+    estimator_for, ImcisSpec, Method, MethodOutcome, RunContext, RunSpec, SampleSpec, ScenarioRef,
+    SearchSpec,
+};
 use rand::SeedableRng;
 
 /// The thread counts under test: `IMCIS_DETERMINISM_THREADS` (a single
@@ -91,6 +91,57 @@ fn two_step() -> (Dtmc, Dtmc, Property) {
     let b = builder.build().unwrap();
     let prop = Property::reach_avoid(StateSet::from_states(4, [2]), StateSet::from_states(4, [3]));
     (a, b, prop)
+}
+
+/// Runs one repetition of `spec` on `setup` at exactly `threads` sampling
+/// and `search_threads` search workers — the per-repetition engine call a
+/// `Session` makes, seeded the same way (repetition 0 uses the spec
+/// seed). The session itself caps thread budgets at the machine's core
+/// count, so the matrix drives the estimator directly to pin counts
+/// above it too.
+fn estimate_at(
+    setup: &Setup,
+    spec: &RunSpec,
+    threads: usize,
+    search_threads: usize,
+) -> MethodOutcome {
+    let ctx = RunContext {
+        threads,
+        search_threads,
+    };
+    let mut rng = rand::rngs::StdRng::seed_from_u64(spec.seed);
+    estimator_for(&spec.method)
+        .estimate(setup, &ctx, &mut rng)
+        .unwrap()
+}
+
+/// The two-step fixture as an IMCIS scenario: a ±0.01 IMC around the
+/// two-step `A`, sampled under its `B`.
+fn two_step_imcis(search: SearchSpec) -> (Setup, RunSpec) {
+    let (center, b, property) = two_step();
+    let setup = Setup {
+        name: "two-step".into(),
+        imc: Imc::from_center(&center, |_, _| 0.01).unwrap(),
+        center,
+        b,
+        property,
+        gamma_center: None,
+        gamma_exact: None,
+    };
+    let method = Method::Imcis(ImcisSpec {
+        sample: SampleSpec {
+            n_traces: 2_000,
+            ..SampleSpec::default()
+        },
+        r_undefeated: 100,
+        r_max: 5_000,
+        search,
+        ..ImcisSpec::default()
+    });
+    (
+        setup,
+        RunSpec::new(ScenarioRef::named("two-step"), method, 5),
+    )
 }
 
 fn run_at(b: &Dtmc, prop: &Property, threads: usize, seed: u64) -> IsRun {
@@ -181,33 +232,21 @@ fn monte_carlo_is_bit_identical_across_thread_counts() {
 fn imcis_pipeline_is_deterministic_across_thread_counts() {
     // End to end: sampling (parallel) + optimisation (sequential, shares
     // the caller RNG) must give bit-identical confidence intervals.
-    let (_, b, prop) = two_step();
-    let mut builder = DtmcBuilder::new(4);
-    builder
-        .add_transition(0, 1, 0.1)
-        .add_transition(0, 3, 0.9)
-        .add_transition(1, 2, 0.2)
-        .add_transition(1, 0, 0.7)
-        .add_transition(1, 3, 0.1)
-        .add_self_loop(2)
-        .add_self_loop(3);
-    let center = builder.build().unwrap();
-    let imc = Imc::from_center(&center, |_, _| 0.01).unwrap();
-    let run = |threads: usize| {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let config = ImcisConfig::new(2_000, 0.05)
-            .with_r_undefeated(100)
-            .with_r_max(5_000)
-            .with_threads(threads);
-        imcis(&imc, &b, &prop, &config, &mut rng).unwrap()
-    };
+    let (setup, spec) = two_step_imcis(SearchSpec::Sequential);
+    let run = |threads: usize| estimate_at(&setup, &spec, threads, 0);
     let reference = run(1);
     for threads in thread_counts() {
         let out = run(threads);
         assert_eq!(out.ci.lo().to_bits(), reference.ci.lo().to_bits());
         assert_eq!(out.ci.hi().to_bits(), reference.ci.hi().to_bits());
-        assert_eq!(out.gamma_min.to_bits(), reference.gamma_min.to_bits());
-        assert_eq!(out.gamma_max.to_bits(), reference.gamma_max.to_bits());
+        assert_eq!(
+            out.gamma_min.map(f64::to_bits),
+            reference.gamma_min.map(f64::to_bits)
+        );
+        assert_eq!(
+            out.gamma_max.map(f64::to_bits),
+            reference.gamma_max.map(f64::to_bits)
+        );
         assert_eq!(out.rounds, reference.rounds);
     }
 }
@@ -322,34 +361,21 @@ fn search_batched_matches_sequential_bracket() {
 fn imcis_batched_pipeline_is_deterministic_across_search_threads() {
     // End to end with the batched strategy: sampling threads fixed, search
     // threads swept — the CI must be bit-identical at every count.
-    let (_, b, prop) = two_step();
-    let mut builder = DtmcBuilder::new(4);
-    builder
-        .add_transition(0, 1, 0.1)
-        .add_transition(0, 3, 0.9)
-        .add_transition(1, 2, 0.2)
-        .add_transition(1, 0, 0.7)
-        .add_transition(1, 3, 0.1)
-        .add_self_loop(2)
-        .add_self_loop(3);
-    let center = builder.build().unwrap();
-    let imc = Imc::from_center(&center, |_, _| 0.01).unwrap();
-    let run = |threads: usize| {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let config = ImcisConfig::new(2_000, 0.05)
-            .with_r_undefeated(100)
-            .with_r_max(5_000)
-            .with_batched_search(32)
-            .with_search_threads(threads);
-        imcis(&imc, &b, &prop, &config, &mut rng).unwrap()
-    };
+    let (setup, spec) = two_step_imcis(SearchSpec::Batched { batch_size: 32 });
+    let run = |threads: usize| estimate_at(&setup, &spec, 0, threads);
     let reference = run(1);
     for threads in thread_counts() {
         let out = run(threads);
         assert_eq!(out.ci.lo().to_bits(), reference.ci.lo().to_bits());
         assert_eq!(out.ci.hi().to_bits(), reference.ci.hi().to_bits());
-        assert_eq!(out.gamma_min.to_bits(), reference.gamma_min.to_bits());
-        assert_eq!(out.gamma_max.to_bits(), reference.gamma_max.to_bits());
+        assert_eq!(
+            out.gamma_min.map(f64::to_bits),
+            reference.gamma_min.map(f64::to_bits)
+        );
+        assert_eq!(
+            out.gamma_max.map(f64::to_bits),
+            reference.gamma_max.map(f64::to_bits)
+        );
         assert_eq!(out.rounds, reference.rounds);
     }
 }

@@ -2,52 +2,62 @@
 //! illustrative model: standard IS is confidently wrong, IMCIS brackets
 //! both the learnt and the true probability.
 
-// Deliberately drives the deprecated free-function entry points: these
-// reproduction artefacts pin the legacy API until it is removed (the
-// Session layer shares the same engines bit-for-bit).
-#![allow(deprecated)]
-use imc_markov::StateSet;
 use imc_models::illustrative;
-use imc_numeric::SolveOptions;
-use imc_sampling::zero_variance_is;
-use imcis_core::{imcis, standard_is, ImcisConfig};
-use rand::SeedableRng;
+use imcis_core::{
+    ImcisOutcome, ImcisSpec, IsOutcome, Method, OutcomeDetail, RunSpec, SampleSpec, ScenarioRef,
+    Session,
+};
 
-fn paper_setup() -> (imc_markov::Imc, imc_markov::Dtmc, imc_logic::Property) {
-    let center = illustrative::dtmc(illustrative::A_HAT, illustrative::C_HAT);
-    let b = zero_variance_is(
-        &center,
-        &StateSet::from_states(4, [illustrative::S2]),
-        &StateSet::new(4),
-        &SolveOptions::default(),
-    )
-    .expect("target reachable");
-    (
-        illustrative::paper_imc().expect("paper IMC consistent"),
-        b,
-        illustrative::property(),
-    )
+/// One repetition of `method` on the registry's illustrative scenario
+/// (the paper's §VI-A setup under the perfect IS chain for `Â`).
+fn run_once(method: Method, seed: u64) -> OutcomeDetail {
+    let spec = RunSpec::new(ScenarioRef::named("illustrative"), method, seed);
+    let mut outcomes = Session::from_spec(spec)
+        .and_then(|session| session.run_outcomes())
+        .expect("illustrative run succeeds");
+    outcomes.remove(0).detail
+}
+
+fn imcis(spec: ImcisSpec, seed: u64) -> ImcisOutcome {
+    match run_once(Method::Imcis(spec), seed) {
+        OutcomeDetail::Imcis(out) => out,
+        other => panic!("expected an IMCIS outcome, got {other:?}"),
+    }
+}
+
+fn standard_is(sample: SampleSpec, seed: u64) -> IsOutcome {
+    match run_once(Method::StandardIs(sample), seed) {
+        OutcomeDetail::Is(out) => out,
+        other => panic!("expected an IS outcome, got {other:?}"),
+    }
+}
+
+fn imcis_spec(n_traces: usize, r_undefeated: usize, r_max: usize) -> ImcisSpec {
+    ImcisSpec {
+        sample: SampleSpec {
+            n_traces,
+            ..SampleSpec::default()
+        },
+        r_undefeated,
+        r_max,
+        ..ImcisSpec::default()
+    }
 }
 
 #[test]
 fn imcis_covers_truth_where_is_fails() {
-    let (imc, b, property) = paper_setup();
     let gamma = illustrative::gamma(illustrative::A_TRUE, illustrative::C_TRUE);
     let gamma_center = illustrative::gamma(illustrative::A_HAT, illustrative::C_HAT);
-    let config = ImcisConfig::new(4000, 0.05)
-        .with_r_undefeated(300)
-        .with_r_max(30_000);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let spec = imcis_spec(4000, 300, 30_000);
 
-    let center = illustrative::dtmc(illustrative::A_HAT, illustrative::C_HAT);
-    let is = standard_is(&center, &b, &property, &config, &mut rng);
+    let is = standard_is(spec.sample, 1);
     assert!(
         is.ci.width() < 1e-12,
         "perfect IS CI degenerates to a point"
     );
     assert!(!is.ci.contains(gamma), "IS misses the true γ");
 
-    let out = imcis(&imc, &b, &property, &config, &mut rng).expect("IMCIS succeeds");
+    let out = imcis(spec, 1);
     assert!(
         out.ci.contains(gamma),
         "IMCIS CI {} misses γ = {gamma:e}",
@@ -65,12 +75,7 @@ fn imcis_covers_truth_where_is_fails() {
 #[test]
 fn imcis_bracket_approaches_paper_values() {
     // Paper Table II: IMCIS mean 95%-CI ≈ [0.249e-5, 2.7e-5].
-    let (imc, b, property) = paper_setup();
-    let config = ImcisConfig::new(10_000, 0.05)
-        .with_r_undefeated(500)
-        .with_r_max(50_000);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-    let out = imcis(&imc, &b, &property, &config, &mut rng).expect("IMCIS succeeds");
+    let out = imcis(imcis_spec(10_000, 500, 50_000), 7);
     assert!(
         (2e-6..4e-6).contains(&out.ci.lo()),
         "lower bound {} out of the paper's ballpark",
@@ -88,30 +93,14 @@ fn forced_sampling_matches_closed_form_quality() {
     // The paper-verbatim search (all rows sampled) must approach the same
     // extrema as the closed-form fast path; the closed form is exact, so
     // the search result can only be (slightly) inside it.
-    let (imc, b, property) = paper_setup();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-    let fast = imcis(
-        &imc,
-        &b,
-        &property,
-        &ImcisConfig::new(2000, 0.05)
-            .with_r_undefeated(200)
-            .with_r_max(20_000),
-        &mut rng,
-    )
-    .expect("fast path succeeds");
-    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+    let fast = imcis(imcis_spec(2000, 200, 20_000), 3);
     let verbatim = imcis(
-        &imc,
-        &b,
-        &property,
-        &ImcisConfig::new(2000, 0.05)
-            .with_r_undefeated(200)
-            .with_r_max(20_000)
-            .with_forced_sampling(),
-        &mut rng,
-    )
-    .expect("verbatim path succeeds");
+        ImcisSpec {
+            force_sampling: true,
+            ..imcis_spec(2000, 200, 20_000)
+        },
+        3,
+    );
     assert!(verbatim.gamma_min >= fast.gamma_min * 0.999);
     assert!(verbatim.gamma_max <= fast.gamma_max * 1.001);
     // The search only partially converges at this budget — the paper's own

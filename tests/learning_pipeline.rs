@@ -1,20 +1,42 @@
 //! The full learning-to-verification pipeline of the paper: logs → learnt
 //! IMC → IMCIS confidence interval that is honest about the hidden truth.
 
-// Deliberately drives the deprecated free-function entry points: these
-// reproduction artefacts pin the legacy API until it is removed (the
-// Session layer shares the same engines bit-for-bit).
-#![allow(deprecated)]
 use imc_learn::{
     learn_dtmc, learn_imc, learn_imc_with_support, CountTable, LearnOptions, Smoothing,
 };
-use imc_markov::{DtmcBuilder, StateSet};
-use imc_models::swat;
+use imc_logic::Property;
+use imc_markov::{Dtmc, DtmcBuilder, Imc, StateSet};
+use imc_models::{swat, Setup};
 use imc_numeric::bounded_reach_probs;
 use imc_sampling::failure_bias;
 use imc_sim::{random_walk, ChainSampler};
-use imcis_core::{imcis, ImcisConfig};
+use imcis_core::{
+    ImcisOutcome, ImcisSpec, Method, OutcomeDetail, RunSpec, SampleSpec, ScenarioRef, Session,
+};
 use rand::SeedableRng;
+
+/// One IMCIS repetition over a learnt IMC, sampled under `b`, through a
+/// `Session` seeded with `seed`.
+fn imcis(imc: Imc, b: Dtmc, property: Property, spec: ImcisSpec, seed: u64) -> ImcisOutcome {
+    let center = imc.center().expect("centred").clone();
+    let setup = Setup {
+        name: "learnt".into(),
+        imc,
+        center,
+        b,
+        property,
+        gamma_center: None,
+        gamma_exact: None,
+    };
+    let run = RunSpec::new(ScenarioRef::named("learnt"), Method::Imcis(spec), seed);
+    let mut outcomes = Session::from_setup(setup, run)
+        .run_outcomes()
+        .expect("IMCIS succeeds");
+    match outcomes.remove(0).detail {
+        OutcomeDetail::Imcis(out) => out,
+        other => panic!("expected an IMCIS outcome, got {other:?}"),
+    }
+}
 
 #[test]
 fn learnt_imc_contains_the_generating_chain() {
@@ -107,11 +129,17 @@ fn swat_pipeline_end_to_end_honest_about_hidden_truth() {
     let property = swat::property(&center);
     let gamma_truth = bounded_reach_probs(&truth, truth.labeled_states("high"), swat::STEP_BOUND)
         [truth.initial()];
-    let config = ImcisConfig::new(6000, 0.01)
-        .with_r_undefeated(300)
-        .with_r_max(20_000)
-        .with_max_steps(1000);
-    let out = imcis(&imc, &b, &property, &config, &mut rng).expect("IMCIS succeeds");
+    let spec = ImcisSpec {
+        sample: SampleSpec {
+            n_traces: 6000,
+            delta: 0.01,
+            max_steps: 1000,
+        },
+        r_undefeated: 300,
+        r_max: 20_000,
+        ..ImcisSpec::default()
+    };
+    let out = imcis(imc, b, property, spec, 71);
     assert!(out.n_success > 500, "biased chain produces successes");
     assert!(
         out.ci.contains(gamma_truth),
@@ -133,7 +161,7 @@ fn more_data_narrows_the_imcis_interval() {
         .add_label(1, "bad");
     let truth = builder.build().expect("truth chain valid");
     let sampler = ChainSampler::new(&truth);
-    let property = imc_logic::Property::reach_avoid(
+    let property = Property::reach_avoid(
         truth.labeled_states("bad").clone(),
         StateSet::from_states(3, [2]),
     );
@@ -155,16 +183,16 @@ fn more_data_narrows_the_imcis_interval() {
         )
         .expect("learning succeeds");
         let center = imc.center().expect("centred").clone();
-        let out = imcis(
-            &imc,
-            &center,
-            &property,
-            &ImcisConfig::new(3000, 0.05)
-                .with_r_undefeated(200)
-                .with_r_max(10_000),
-            &mut rng,
-        )
-        .expect("IMCIS succeeds");
+        let spec = ImcisSpec {
+            sample: SampleSpec {
+                n_traces: 3000,
+                ..SampleSpec::default()
+            },
+            r_undefeated: 200,
+            r_max: 10_000,
+            ..ImcisSpec::default()
+        };
+        let out = imcis(imc, center, property.clone(), spec, 5);
         widths.push(out.gamma_max - out.gamma_min);
     }
     assert!(

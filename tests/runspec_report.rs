@@ -53,6 +53,56 @@ fn checked_in_specs_are_canonical_and_round_trip() {
     }
 }
 
+/// Checked-in suites written in the authoring shorthand — file-referenced
+/// and `{"sweep": …}` members — whose canonical form is the expanded
+/// member list rather than the file's own bytes.
+const AUTHORED_SHORTHAND: &[&str] = &["dsl_smoke_suite.json"];
+
+#[test]
+fn every_checked_in_manifest_parses_and_is_canonical() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/specs");
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+        .collect();
+    paths.sort();
+    assert!(paths.len() >= 4, "specs/ lists {paths:?}");
+    for path in paths {
+        let name = path.file_name().unwrap().to_str().unwrap().to_string();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let is_suite = json::parse(&text)
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+            .get("runs")
+            .is_some();
+        // Parse, then serialize the canonical form and re-parse it: the
+        // canonical text must be a fixed point.
+        let canonical = if is_suite {
+            let spec = SuiteSpec::load(&path).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let canonical = spec.to_json_string();
+            let reparsed = SuiteSpec::from_str(&canonical).unwrap();
+            assert_eq!(reparsed, spec, "{name}");
+            assert_eq!(reparsed.to_json_string(), canonical, "{name}");
+            canonical
+        } else {
+            let spec = RunSpec::from_str(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let canonical = spec.to_json_string();
+            let reparsed = RunSpec::from_str(&canonical).unwrap();
+            assert_eq!(reparsed, spec, "{name}");
+            assert_eq!(reparsed.to_json_string(), canonical, "{name}");
+            canonical
+        };
+        if AUTHORED_SHORTHAND.contains(&name.as_str()) {
+            assert_ne!(
+                canonical, text,
+                "{name} is canonical; drop it from the list"
+            );
+        } else {
+            assert_eq!(canonical, text, "{name} is not canonical");
+        }
+    }
+}
+
 #[test]
 fn ce_campaign_suite_spec_is_canonical() {
     let text = read(CE_CAMPAIGN_SUITE);

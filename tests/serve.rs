@@ -199,6 +199,48 @@ fn malformed_wire_json_is_an_error_event_and_the_connection_survives() {
 }
 
 #[test]
+fn hostile_json_nesting_is_an_error_event_and_the_daemon_keeps_serving() {
+    let (addr, handle) = spawn_server(1);
+    let mut wire = RawWire::connect(addr);
+
+    // A submit line whose suite is a million nested arrays: the bounded
+    // parser answers with a typed wire error instead of overflowing the
+    // daemon's stack.
+    let prefix = "{\"type\": \"submit\", \"suite\": ";
+    wire.send(&format!("{prefix}{}", "[".repeat(1_000_000)));
+    let event = wire.read_event();
+    assert_eq!(event_type(&event), "error");
+    assert_eq!(event.get("error").and_then(Value::as_str), Some("wire"));
+    let message = event.get("message").and_then(Value::as_str).unwrap();
+    assert!(
+        message.contains(&format!(
+            "JSON error at byte {}: nesting exceeds the depth limit ({})",
+            prefix.len() + json::MAX_DEPTH - 1,
+            json::MAX_DEPTH
+        )),
+        "{message}"
+    );
+
+    // The daemon then serves a clean job, identical to the batch run.
+    let spec = tiny_suite(7);
+    let served = Client::connect(addr)
+        .unwrap()
+        .submit(&spec, |_, _| {})
+        .unwrap()
+        .suite_report
+        .pretty();
+    let standalone = Suite::from_spec(spec)
+        .unwrap()
+        .run()
+        .unwrap()
+        .to_json_stable()
+        .pretty();
+    assert_eq!(served, standalone);
+
+    shut_down(addr, handle);
+}
+
+#[test]
 fn invalid_suite_specs_reuse_the_pinned_spec_errors() {
     let (addr, handle) = spawn_server(1);
     let mut wire = RawWire::connect(addr);
