@@ -157,6 +157,7 @@ pub mod serve;
 pub mod session;
 pub mod spec;
 pub mod suite;
+mod wire;
 
 pub use algorithm::{ImcisConfig, ImcisError, ImcisOutcome, IsOutcome};
 pub use fault::{FaultKind, FaultPlan, FaultRule, FAULT_ENV};

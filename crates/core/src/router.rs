@@ -21,8 +21,13 @@
 //! dominant source — route to the backend that already compiled them.
 //!
 //! Clients need no new protocol: the router speaks `imcis.wire/2` on
-//! both sides, so `imcis submit` works against a router unchanged.
-//! Per request:
+//! both sides, so `imcis submit` works against a router unchanged. It
+//! serves clients through the same endpoint as the daemon (the
+//! crate-private `wire` module: accept loop, drain, the request-line
+//! reader with its 4 MiB cap, request decoding, `ping`, `health` and
+//! the `shutdown` acknowledgement) and reaches its backends through
+//! [`Client`]. Backend event streams are read without a line cap,
+//! because backends are trusted. Per request:
 //!
 //! * `submit` — validated router-side (a `file` path resolves on the
 //!   router's filesystem), then proxied to the job's preferred live
@@ -39,10 +44,9 @@
 //!   (`"role": "router"`): per-backend health + freshly polled load
 //!   snapshots ([`StatusSnapshot::Router`](crate::serve::StatusSnapshot)
 //!   decodes it).
-//! * `health` — answered by the router itself; `workers` counts live
-//!   backends.
-//! * `shutdown` — fanned out to every live backend, then the router
-//!   drains its own connections and exits.
+//! * `health` — `workers` counts live backends.
+//! * `shutdown` — fanned out to every live backend before the
+//!   acknowledgement, then the router drains and exits.
 //!
 //! # Failover
 //!
@@ -61,34 +65,21 @@
 //! batch artefact (pinned by `tests/router.rs` and the CI router smoke
 //! step).
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use imc_models::fnv1a64;
-use serde::json::{self, Value};
+use serde::json::Value;
 
-use crate::serve::{
-    error_event, event, health_event, parse_event, parse_request, wake_addr, Event, Request,
-    ServeError, READ_POLL_MS, RETRY_AFTER_MS,
-};
+use crate::serve::{submit_fields, Client, Event, ServeError, RETRY_AFTER_MS};
 use crate::suite::SuiteSpec;
+use crate::wire::{error_event, event, rejected_event, write_line, Endpoint, Role};
 
 /// Virtual ring points per backend: enough to spread keys evenly at
 /// small fleet sizes without making ring construction noticeable.
 const VNODES: usize = 64;
-
-/// Connect timeout for every router→backend connection (probes and
-/// proxies alike): a dead host must fail fast, not hang a heartbeat.
-const CONNECT_TIMEOUT_MS: u64 = 1_000;
-
-/// Read timeout for *probe* connections (health polls, status
-/// aggregation). Proxy streams deliberately read without a deadline —
-/// a long member session is progress, and a killed backend surfaces as
-/// EOF, not silence.
-const PROBE_TIMEOUT_MS: u64 = 2_000;
 
 /// Router configuration: where to listen and which fleet to front.
 #[derive(Debug, Clone)]
@@ -200,6 +191,16 @@ struct Backend {
     alive: AtomicBool,
 }
 
+impl Backend {
+    /// Probes the backend with `health` and records the verdict.
+    fn probe(&self) {
+        let healthy = Client::connect_backend(&self.addr, true)
+            .and_then(|mut conn| conn.health())
+            .is_ok();
+        self.alive.store(healthy, Ordering::SeqCst);
+    }
+}
+
 /// One job currently proxied through the router.
 struct RouterJob {
     /// Router-side id (what the client sees and cancels with).
@@ -213,61 +214,113 @@ struct RouterJob {
     members_done: Arc<AtomicUsize>,
 }
 
-/// State shared by the accept loop, connection handlers and the
+/// The router role: state shared by connection handlers and the
 /// heartbeat thread.
 struct RouterState {
     backends: Vec<Backend>,
     ring: HashRing,
-    shutdown: AtomicBool,
-    local_addr: SocketAddr,
-    started: Instant,
     next_job: AtomicU64,
-    next_connection: AtomicU64,
     jobs_routed: AtomicU64,
     active_jobs: AtomicUsize,
     queue_capacity: usize,
     jobs: Mutex<Vec<RouterJob>>,
-    connections: Mutex<Vec<(u64, TcpStream)>>,
-    idle: Condvar,
 }
 
-impl RouterState {
-    fn live_backends(&self) -> u64 {
+impl Role for RouterState {
+    type Connection = ();
+
+    fn connection(&self) {}
+
+    /// A router's `health` counts live backends.
+    fn workers(&self) -> u64 {
         self.backends
             .iter()
             .filter(|b| b.alive.load(Ordering::SeqCst))
             .count() as u64
     }
 
-    fn register_connection(&self, stream: &TcpStream) -> Option<u64> {
-        let handle = stream.try_clone().ok()?;
-        let id = self.next_connection.fetch_add(1, Ordering::SeqCst);
-        self.connections
-            .lock()
-            .expect("connection list poisoned")
-            .push((id, handle));
-        Some(id)
+    fn submit(
+        &self,
+        _: &mut (),
+        spec: &SuiteSpec,
+        deadline_ms: Option<u64>,
+        writer: &mut TcpStream,
+    ) -> bool {
+        if self
+            .active_jobs
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |active| {
+                (active < self.queue_capacity).then_some(active + 1)
+            })
+            .is_err()
+        {
+            return write_line(writer, &rejected_event(RETRY_AFTER_MS));
+        }
+        let alive = proxy_job(spec, deadline_ms, writer, self);
+        self.active_jobs.fetch_sub(1, Ordering::SeqCst);
+        alive
     }
 
-    fn deregister_connection(&self, id: u64) {
-        let mut connections = self.connections.lock().expect("connection list poisoned");
-        connections.retain(|(conn, _)| *conn != id);
-        if connections.is_empty() {
-            self.idle.notify_all();
+    /// Forwards a `cancel` to the backend owning the router job,
+    /// answering the relabelled acknowledgement (or the pinned `queue`
+    /// error when no such job is proxied).
+    fn cancel(&self, job_id: u64) -> String {
+        let target = {
+            let jobs = self.jobs.lock().expect("job list poisoned");
+            jobs.iter()
+                .find(|job| job.job_id == job_id)
+                .map(|job| (job.backend.clone(), job.backend_job))
+        };
+        let Some((backend, backend_job)) = target else {
+            return error_event("queue", &format!("job {job_id} is not active"));
+        };
+        let forwarded = Client::connect_backend(&backend, true).and_then(|mut conn| {
+            conn.request(
+                "cancel",
+                vec![("job_id".to_string(), Value::UInt(backend_job))],
+            )
+        });
+        match forwarded {
+            Ok((value, Event::Cancelled { .. })) => relabel_job_id(value, job_id),
+            Ok((value, Event::Error { .. })) => format!("{value}\n"),
+            _ => error_event(
+                "queue",
+                &format!("backend `{backend}` did not acknowledge the cancel"),
+            ),
         }
     }
 
-    fn drain_connections(&self) {
-        let mut connections = self.connections.lock().expect("connection list poisoned");
-        for (_, stream) in connections.iter() {
-            let _ = stream.shutdown(std::net::Shutdown::Read);
+    /// The aggregated `status` answer: per-backend health (heartbeat
+    /// verdict refreshed by this very poll) plus each reachable
+    /// backend's own load snapshot, flattened into its entry.
+    fn status(&self, uptime_ms: u64) -> String {
+        let mut backends = Vec::with_capacity(self.backends.len());
+        for backend in &self.backends {
+            let mut fields = vec![("addr".to_string(), Value::Str(backend.addr.clone()))];
+            let snapshot = poll_backend_status(&backend.addr);
+            let healthy = snapshot.is_some();
+            backend.alive.store(healthy, Ordering::SeqCst);
+            fields.push(("healthy".to_string(), Value::Bool(healthy)));
+            if let Some(status) = snapshot {
+                fields.extend(status);
+            }
+            backends.push(Value::Object(fields));
         }
-        while !connections.is_empty() {
-            connections = self
-                .idle
-                .wait(connections)
-                .expect("connection list poisoned");
-        }
+        event(
+            "status",
+            [
+                ("role".to_string(), Value::Str("router".into())),
+                (
+                    "active_jobs".to_string(),
+                    Value::UInt(self.active_jobs.load(Ordering::SeqCst) as u64),
+                ),
+                (
+                    "jobs_routed".to_string(),
+                    Value::UInt(self.jobs_routed.load(Ordering::SeqCst)),
+                ),
+                ("uptime_ms".to_string(), Value::UInt(uptime_ms)),
+                ("backends".to_string(), Value::Array(backends)),
+            ],
+        )
     }
 
     fn job_dispositions(&self) -> Vec<Value> {
@@ -287,101 +340,43 @@ impl RouterState {
             })
             .collect()
     }
-}
 
-/// One raw wire connection from the router to a backend. Unlike
-/// [`Client`](crate::serve::Client) this keeps the *decoded value*
-/// of every event so the proxy can forward lines verbatim (modulo the
-/// `job_id` relabel) without re-serialising payloads.
-struct BackendConn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl BackendConn {
-    /// Connects with the router's connect timeout; `probe` additionally
-    /// bounds reads (heartbeats must never hang on a wedged backend).
-    fn connect(addr: &str, probe: bool) -> Result<Self, ServeError> {
-        let resolved = addr
-            .to_socket_addrs()
-            .map_err(|e| ServeError::Io(format!("cannot resolve `{addr}`: {e}")))?
-            .next()
-            .ok_or_else(|| ServeError::Io(format!("`{addr}` resolves to no address")))?;
-        let writer =
-            TcpStream::connect_timeout(&resolved, Duration::from_millis(CONNECT_TIMEOUT_MS))
-                .map_err(|e| ServeError::Io(format!("cannot connect to `{addr}`: {e}")))?;
-        if probe {
-            writer.set_read_timeout(Some(Duration::from_millis(PROBE_TIMEOUT_MS)))?;
-        }
-        let reader = BufReader::new(writer.try_clone()?);
-        Ok(BackendConn { reader, writer })
-    }
-
-    fn send(&mut self, line: &str) -> Result<(), ServeError> {
-        self.writer.write_all(line.as_bytes())?;
-        Ok(())
-    }
-
-    /// Reads and decodes one event line, returning the raw value (for
-    /// relabelled forwarding) alongside the typed view.
-    fn read_event(&mut self) -> Result<(Value, Event), ServeError> {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
-        if n == 0 {
-            return Err(ServeError::Protocol(
-                "backend closed the connection mid-stream".into(),
-            ));
-        }
-        let value = json::parse(line.trim_end())
-            .map_err(|e| ServeError::Protocol(format!("backend event is not valid JSON: {e}")))?;
-        let event = parse_event(&value).map_err(ServeError::Protocol)?;
-        Ok((value, event))
-    }
-}
-
-/// Probes one backend with `health`; used by the heartbeat thread and
-/// the initial aliveness sweep.
-fn probe_health(addr: &str) -> bool {
-    let Ok(mut conn) = BackendConn::connect(addr, true) else {
-        return false;
-    };
-    if conn.send(&event("health", [])).is_err() {
-        return false;
-    }
-    matches!(conn.read_event(), Ok((_, Event::Health(_))))
-}
-
-/// Re-serialises an event value with its `job_id` replaced — the
-/// vendored JSON value is deliberately immutable, so relabelling
-/// rebuilds the pair list (payloads are cloned references, not
-/// re-encoded text, and insertion order is preserved).
-fn relabel_job_id(value: &Value, job_id: u64) -> String {
-    let pairs: Vec<(String, Value)> = value
-        .as_object()
-        .unwrap_or(&[])
-        .iter()
-        .map(|(key, field)| {
-            if key == "job_id" {
-                (key.clone(), Value::UInt(job_id))
-            } else {
-                (key.clone(), field.clone())
+    /// Fans the shutdown out to every live backend before the router
+    /// acknowledges it: the fleet drains as one unit.
+    fn shutdown(&self) {
+        for backend in &self.backends {
+            if backend.alive.load(Ordering::SeqCst) {
+                if let Ok(mut conn) = Client::connect_backend(&backend.addr, true) {
+                    let _ = conn.shutdown();
+                }
             }
-        })
-        .collect();
-    format!("{}\n", Value::Object(pairs))
+        }
+    }
+}
+
+/// Serialises an event value with its `job_id` replaced; every other
+/// field keeps its value and position.
+fn relabel_job_id(mut value: Value, job_id: u64) -> String {
+    if let Value::Object(pairs) = &mut value {
+        for (key, field) in pairs {
+            if key == "job_id" {
+                *field = Value::UInt(job_id);
+            }
+        }
+    }
+    format!("{value}\n")
 }
 
 /// The cache-affinity front-line router. See the [module docs](self)
 /// for the routing, spill and failover semantics.
 pub struct Router {
-    listener: TcpListener,
-    state: Arc<RouterState>,
+    endpoint: Arc<Endpoint<RouterState>>,
     heartbeat_ms: u64,
 }
 
 impl Router {
-    /// Binds the listen socket and sweeps the fleet once so routing
-    /// starts from real liveness, not optimism. The heartbeat thread
+    /// Sweeps the fleet once, so routing starts from real liveness,
+    /// not optimism, and binds the listen socket. The heartbeat thread
     /// starts with [`Router::run`] / [`Router::spawn`].
     ///
     /// # Errors
@@ -394,43 +389,33 @@ impl Router {
                 "router needs at least one --backend address".into(),
             ));
         }
-        let listener = TcpListener::bind(&config.addr)
-            .map_err(|e| ServeError::Io(format!("cannot bind `{}`: {e}", config.addr)))?;
-        let local_addr = listener.local_addr()?;
-        let ring = HashRing::new(&config.backends);
-        let backends = config
+        let backends: Vec<Backend> = config
             .backends
             .iter()
             .map(|addr| Backend {
-                alive: AtomicBool::new(probe_health(addr)),
                 addr: addr.clone(),
+                alive: AtomicBool::new(false),
             })
             .collect();
-        let state = Arc::new(RouterState {
+        backends.iter().for_each(Backend::probe);
+        let state = RouterState {
             backends,
-            ring,
-            shutdown: AtomicBool::new(false),
-            local_addr,
-            started: Instant::now(),
+            ring: HashRing::new(&config.backends),
             next_job: AtomicU64::new(1),
-            next_connection: AtomicU64::new(1),
             jobs_routed: AtomicU64::new(0),
             active_jobs: AtomicUsize::new(0),
             queue_capacity: config.queue.max(1),
             jobs: Mutex::new(Vec::new()),
-            connections: Mutex::new(Vec::new()),
-            idle: Condvar::new(),
-        });
+        };
         Ok(Router {
-            listener,
-            state,
+            endpoint: Endpoint::bind(&config.addr, state)?,
             heartbeat_ms: config.heartbeat_ms.max(1),
         })
     }
 
     /// The bound listen address (resolves port `0` to the actual port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.state.local_addr
+        self.endpoint.local_addr()
     }
 
     /// Accepts and serves connections until a client sends `shutdown`
@@ -445,20 +430,18 @@ impl Router {
         // evicted from routing on the next walk; a recovered one
         // rejoins (cold cache — wall-clock, never bytes).
         let heartbeat = {
-            let state = Arc::clone(&self.state);
+            let endpoint = Arc::clone(&self.endpoint);
             let interval = Duration::from_millis(self.heartbeat_ms);
             std::thread::spawn(move || {
-                while !state.shutdown.load(Ordering::SeqCst) {
-                    for backend in &state.backends {
-                        backend
-                            .alive
-                            .store(probe_health(&backend.addr), Ordering::SeqCst);
-                        if state.shutdown.load(Ordering::SeqCst) {
+                while !endpoint.is_shutting_down() {
+                    for backend in &endpoint.role.backends {
+                        backend.probe();
+                        if endpoint.is_shutting_down() {
                             return;
                         }
                     }
                     let mut slept = Duration::ZERO;
-                    while slept < interval && !state.shutdown.load(Ordering::SeqCst) {
+                    while slept < interval && !endpoint.is_shutting_down() {
                         let slice = (interval - slept).min(Duration::from_millis(50));
                         std::thread::sleep(slice);
                         slept += slice;
@@ -466,45 +449,9 @@ impl Router {
                 }
             })
         };
-        let mut accept_result = Ok(());
-        let mut consecutive_errors = 0u32;
-        loop {
-            let stream = match self.listener.accept() {
-                Ok((stream, _)) => {
-                    consecutive_errors = 0;
-                    stream
-                }
-                Err(e) => {
-                    if self.state.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    consecutive_errors += 1;
-                    if consecutive_errors >= 100 {
-                        accept_result = Err(ServeError::Io(format!(
-                            "accept failed {consecutive_errors} times in a row: {e}"
-                        )));
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
-                    continue;
-                }
-            };
-            if self.state.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let state = Arc::clone(&self.state);
-            let Some(id) = state.register_connection(&stream) else {
-                drop(stream);
-                continue;
-            };
-            std::thread::spawn(move || {
-                handle_connection(stream, &state);
-                state.deregister_connection(id);
-            });
-        }
-        self.state.drain_connections();
+        let result = self.endpoint.serve();
         heartbeat.join().expect("heartbeat thread panicked");
-        accept_result
+        result
     }
 
     /// Runs the router on a background thread (tests, in-process use).
@@ -513,312 +460,100 @@ impl Router {
     }
 }
 
-/// Reads one request line under the poll deadline, re-checking the
-/// shutdown flag (same discipline as the daemon's reader).
-fn read_request_line(
-    reader: &mut BufReader<TcpStream>,
-    state: &RouterState,
-    line: &mut String,
-) -> bool {
-    line.clear();
-    loop {
-        match reader.read_line(line) {
-            Ok(0) => return false,
-            Ok(_) => return true,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if state.shutdown.load(Ordering::SeqCst) {
-                    return false;
-                }
-            }
-            Err(_) => return false,
-        }
-    }
-}
-
-/// Serves one client connection on the router.
-fn handle_connection(stream: TcpStream, state: &RouterState) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let _ = read_half.set_read_timeout(Some(Duration::from_millis(READ_POLL_MS)));
-    let mut writer = stream;
-    let mut reader = BufReader::new(read_half);
-    let mut line = String::new();
-    loop {
-        if !read_request_line(&mut reader, state, &mut line) {
-            return;
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let request = match json::parse(line.trim_end()) {
-            Ok(value) => parse_request(&value),
-            Err(e) => Err((
-                "wire".to_string(),
-                format!("request is not valid JSON: {e}"),
-            )),
-        };
-        let keep_going = match request {
-            Err((class, message)) => writer
-                .write_all(error_event(&class, &message).as_bytes())
-                .is_ok(),
-            Ok(Request::Ping) => writer.write_all(event("pong", []).as_bytes()).is_ok(),
-            Ok(Request::Health) => writer
-                .write_all(health_event(state.live_backends(), &state.started).as_bytes())
-                .is_ok(),
-            Ok(Request::Status) => writer.write_all(aggregate_status(state).as_bytes()).is_ok(),
-            Ok(Request::Cancel { job_id }) => writer
-                .write_all(forward_cancel(state, job_id).as_bytes())
-                .is_ok(),
-            Ok(Request::Shutdown) => {
-                state.shutdown.store(true, Ordering::SeqCst);
-                // Fan the shutdown out to every live backend before
-                // acknowledging: the fleet drains as one unit.
-                for backend in &state.backends {
-                    if !backend.alive.load(Ordering::SeqCst) {
-                        continue;
-                    }
-                    if let Ok(mut conn) = BackendConn::connect(&backend.addr, true) {
-                        let _ = conn.send(&event("shutdown", []));
-                        let _ = conn.read_event();
-                    }
-                }
-                let line = event(
-                    "shutting_down",
-                    [("jobs".to_string(), Value::Array(state.job_dispositions()))],
-                );
-                let _ = writer.write_all(line.as_bytes());
-                let _ = TcpStream::connect(wake_addr(state.local_addr));
-                false
-            }
-            Ok(Request::Submit { spec, deadline_ms }) => {
-                route_job(&spec, deadline_ms, &mut writer, state)
-            }
-        };
-        if !keep_going {
-            return;
-        }
-    }
-}
-
-/// Builds the router's aggregated `status` answer: per-backend health
-/// (heartbeat verdict refreshed by this very poll) plus each reachable
-/// backend's own load snapshot, flattened into its entry.
-fn aggregate_status(state: &RouterState) -> String {
-    let mut backends = Vec::with_capacity(state.backends.len());
-    for backend in &state.backends {
-        let mut fields = vec![("addr".to_string(), Value::Str(backend.addr.clone()))];
-        let snapshot = poll_backend_status(&backend.addr);
-        let healthy = snapshot.is_some();
-        backend.alive.store(healthy, Ordering::SeqCst);
-        fields.push(("healthy".to_string(), Value::Bool(healthy)));
-        if let Some(status) = snapshot {
-            fields.extend(status);
-        }
-        backends.push(Value::Object(fields));
-    }
-    event(
-        "status",
-        [
-            ("role".to_string(), Value::Str("router".into())),
-            (
-                "active_jobs".to_string(),
-                Value::UInt(state.active_jobs.load(Ordering::SeqCst) as u64),
-            ),
-            (
-                "jobs_routed".to_string(),
-                Value::UInt(state.jobs_routed.load(Ordering::SeqCst)),
-            ),
-            (
-                "uptime_ms".to_string(),
-                Value::UInt(state.started.elapsed().as_millis() as u64),
-            ),
-            ("backends".to_string(), Value::Array(backends)),
-        ],
-    )
-}
-
 /// Polls one backend's `status`, returning its raw field pairs (to be
 /// flattened into the aggregation entry) or `None` when unreachable.
 fn poll_backend_status(addr: &str) -> Option<Vec<(String, Value)>> {
-    let mut conn = BackendConn::connect(addr, true).ok()?;
-    conn.send(&event("status", [])).ok()?;
-    let (value, decoded) = conn.read_event().ok()?;
-    match decoded {
-        Event::Status(_) => Some(
-            value
-                .as_object()?
-                .iter()
-                .filter(|(key, _)| !matches!(key.as_str(), "wire" | "type"))
-                .cloned()
-                .collect(),
-        ),
+    let mut conn = Client::connect_backend(addr, true).ok()?;
+    match conn.request("status", Vec::new()).ok()? {
+        (Value::Object(mut fields), Event::Status(_)) => {
+            fields.retain(|(key, _)| !matches!(key.as_str(), "wire" | "type"));
+            Some(fields)
+        }
         _ => None,
     }
 }
 
-/// Forwards a `cancel` to the backend owning the router job, answering
-/// the relabelled acknowledgement (or the pinned `queue` error when no
-/// such job is proxied).
-fn forward_cancel(state: &RouterState, job_id: u64) -> String {
-    let target = {
-        let jobs = state.jobs.lock().expect("job list poisoned");
-        jobs.iter()
-            .find(|job| job.job_id == job_id)
-            .map(|job| (job.backend.clone(), job.backend_job))
-    };
-    let Some((backend, backend_job)) = target else {
-        return error_event("queue", &format!("job {job_id} is not active"));
-    };
-    let attempt = (|| -> Result<(Value, Event), ServeError> {
-        let mut conn = BackendConn::connect(&backend, true)?;
-        conn.send(&event(
-            "cancel",
-            [("job_id".to_string(), Value::UInt(backend_job))],
-        ))?;
-        conn.read_event()
-    })();
-    match attempt {
-        Ok((value, Event::Cancelled { .. })) => relabel_job_id(&value, job_id),
-        Ok((value, Event::Error { .. })) => format!("{value}\n"),
-        _ => error_event(
-            "queue",
-            &format!("backend `{backend}` did not acknowledge the cancel"),
-        ),
-    }
-}
-
-/// The submit path: place the job on the ring, spill past rejections,
-/// proxy the stream, fail over mid-job if the backend dies. Returns
-/// `false` when the client vanished.
-fn route_job(
-    spec: &SuiteSpec,
-    deadline_ms: Option<u64>,
-    writer: &mut TcpStream,
-    state: &RouterState,
-) -> bool {
-    if state
-        .active_jobs
-        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |active| {
-            (active < state.queue_capacity).then_some(active + 1)
-        })
-        .is_err()
-    {
-        let line = event(
-            "rejected",
-            [("retry_after_ms".to_string(), Value::UInt(RETRY_AFTER_MS))],
-        );
-        return writer.write_all(line.as_bytes()).is_ok();
-    }
-    let alive = proxy_job(spec, deadline_ms, writer, state);
-    state.active_jobs.fetch_sub(1, Ordering::SeqCst);
-    alive
-}
-
-/// The submit request line forwarded to backends: the validated spec
-/// re-embedded (a router-side `file` submit reaches the backend as an
-/// embedded manifest — backends need no shared filesystem).
-fn submit_line(spec: &SuiteSpec, deadline_ms: Option<u64>) -> String {
-    let mut fields = vec![("suite".to_string(), spec.to_json())];
-    if let Some(ms) = deadline_ms {
-        fields.push(("deadline_ms".to_string(), Value::UInt(ms)));
-    }
-    event("submit", fields)
+/// A backend stream opened for a job: the connection, the backend's
+/// index, and the backend-side `accepted` (raw value and fields).
+struct Opened {
+    conn: Client,
+    backend: usize,
+    accepted: Value,
+    job_id: u64,
+    members: usize,
 }
 
 /// Opens the stream on the first backend that accepts: walks the
 /// preference order, spills past `rejected`, marks connect/read
-/// failures dead. `Ok` carries the open connection, its backend index
-/// and the backend-side `accepted` (value + decoded fields).
-#[allow(clippy::type_complexity)]
+/// failures dead. `Err` carries the terminal line to answer the client
+/// with.
 fn open_stream(
     spec: &SuiteSpec,
     deadline_ms: Option<u64>,
     state: &RouterState,
     exclude: &[usize],
-) -> Result<(BackendConn, usize, Value, u64, usize, u64), RouteFailure> {
+) -> Result<Opened, String> {
     let fingerprint = dominant_cache_fingerprint(spec);
     let mut rejected_hint: Option<u64> = None;
     for index in state.ring.preference(fingerprint) {
-        if exclude.contains(&index) {
-            continue;
-        }
         let backend = &state.backends[index];
-        if !backend.alive.load(Ordering::SeqCst) {
+        if exclude.contains(&index) || !backend.alive.load(Ordering::SeqCst) {
             continue;
         }
-        let mut conn = match BackendConn::connect(&backend.addr, false) {
-            Ok(conn) => conn,
-            Err(_) => {
-                backend.alive.store(false, Ordering::SeqCst);
-                continue;
-            }
-        };
-        if conn.send(&submit_line(spec, deadline_ms)).is_err() {
-            backend.alive.store(false, Ordering::SeqCst);
-            continue;
-        }
-        match conn.read_event() {
+        let opened = Client::connect_backend(&backend.addr, false).and_then(|mut conn| {
+            let answer = conn.request("submit", submit_fields(spec, deadline_ms))?;
+            Ok((conn, answer))
+        });
+        match opened {
             Ok((
-                value,
-                Event::Accepted {
+                conn,
+                (
+                    accepted,
+                    Event::Accepted {
+                        job_id, members, ..
+                    },
+                ),
+            )) => {
+                return Ok(Opened {
+                    conn,
+                    backend: index,
+                    accepted,
                     job_id,
                     members,
-                    setups_built,
-                },
-            )) => return Ok((conn, index, value, job_id, members, setups_built)),
-            Ok((_, Event::Rejected { retry_after_ms })) => {
-                // Spill: the next distinct ring node gets the job. Keep
-                // the largest hint in case everybody rejects.
+                })
+            }
+            // Spill: the next distinct ring node gets the job. Keep the
+            // largest hint in case everybody rejects.
+            Ok((_, (_, Event::Rejected { retry_after_ms }))) => {
                 rejected_hint =
                     Some(rejected_hint.map_or(retry_after_ms, |h| h.max(retry_after_ms)));
-                continue;
             }
-            Ok((value, Event::Error { .. })) => {
-                // Deterministic refusals (bad spec, oversized suite)
-                // fail identically on every backend: forward verbatim,
-                // never spill.
-                return Err(RouteFailure::Terminal(format!("{value}\n")));
-            }
-            _ => {
-                backend.alive.store(false, Ordering::SeqCst);
-                continue;
-            }
+            // Deterministic refusals (bad spec, oversized suite) fail
+            // identically on every backend: forward verbatim, never spill.
+            Ok((_, (value, Event::Error { .. }))) => return Err(format!("{value}\n")),
+            _ => backend.alive.store(false, Ordering::SeqCst),
         }
     }
     Err(match rejected_hint {
-        Some(hint) => RouteFailure::Terminal(event(
-            "rejected",
-            [("retry_after_ms".to_string(), Value::UInt(hint))],
-        )),
-        None => RouteFailure::Terminal(error_event("queue", "no live backend can take the job")),
+        Some(hint) => rejected_event(hint),
+        None => error_event("queue", "no live backend can take the job"),
     })
 }
 
-/// Why a routing attempt produced no stream: a terminal line to answer
-/// the client with.
-enum RouteFailure {
-    Terminal(String),
-}
-
-/// Proxies one accepted job: forward the relabelled stream, dedup
-/// member indices across failovers, resubmit on backend death.
+/// Proxies one job: forward the relabelled stream, dedup member indices
+/// across failovers, resubmit on backend death. Returns `false` when
+/// the client vanished.
 fn proxy_job(
     spec: &SuiteSpec,
     deadline_ms: Option<u64>,
     writer: &mut TcpStream,
     state: &RouterState,
 ) -> bool {
-    let (mut conn, mut backend_index, accepted_value, mut backend_job, members, _) =
-        match open_stream(spec, deadline_ms, state, &[]) {
-            Ok(opened) => opened,
-            Err(RouteFailure::Terminal(line)) => return writer.write_all(line.as_bytes()).is_ok(),
-        };
+    let mut stream = match open_stream(spec, deadline_ms, state, &[]) {
+        Ok(opened) => opened,
+        Err(line) => return write_line(writer, &line),
+    };
+    let members = stream.members;
     let job_id = state.next_job.fetch_add(1, Ordering::SeqCst);
     state.jobs_routed.fetch_add(1, Ordering::SeqCst);
     let members_done = Arc::new(AtomicUsize::new(0));
@@ -828,19 +563,17 @@ fn proxy_job(
         .expect("job list poisoned")
         .push(RouterJob {
             job_id,
-            backend: state.backends[backend_index].addr.clone(),
-            backend_job,
+            backend: state.backends[stream.backend].addr.clone(),
+            backend_job: stream.job_id,
             members_total: members,
             members_done: Arc::clone(&members_done),
         });
-    let mut client_alive = writer
-        .write_all(relabel_job_id(&accepted_value, job_id).as_bytes())
-        .is_ok();
+    let mut client_alive = write_line(writer, &relabel_job_id(stream.accepted, job_id));
     let mut delivered = vec![false; members];
     let mut dead_backends: Vec<usize> = Vec::new();
     loop {
-        match conn.read_event() {
-            Ok((value, decoded)) => match decoded {
+        match stream.conn.read_event() {
+            Ok((_, value, decoded)) => match decoded {
                 Event::MemberReport { member_index, .. }
                 | Event::MemberError { member_index, .. }
                     // After a failover the replacement backend re-runs
@@ -851,9 +584,7 @@ fn proxy_job(
                         delivered[member_index] = true;
                         members_done.fetch_add(1, Ordering::SeqCst);
                         if client_alive {
-                            client_alive = writer
-                                .write_all(relabel_job_id(&value, job_id).as_bytes())
-                                .is_ok();
+                            client_alive = write_line(writer, &relabel_job_id(value, job_id));
                         }
                     }
                 // Campaign stage progress rides along for members the
@@ -862,21 +593,17 @@ fn proxy_job(
                 // members are suppressed with their member events.
                 Event::StageReport { member_index, .. }
                     if member_index < members && !delivered[member_index] && client_alive => {
-                        client_alive = writer
-                            .write_all(relabel_job_id(&value, job_id).as_bytes())
-                            .is_ok();
+                        client_alive = write_line(writer, &relabel_job_id(value, job_id));
                     }
                 Event::SuiteReport { .. } => {
                     if client_alive {
-                        client_alive = writer
-                            .write_all(relabel_job_id(&value, job_id).as_bytes())
-                            .is_ok();
+                        client_alive = write_line(writer, &relabel_job_id(value, job_id));
                     }
                     break;
                 }
                 Event::Error { .. } => {
                     if client_alive {
-                        client_alive = writer.write_all(format!("{value}\n").as_bytes()).is_ok();
+                        client_alive = write_line(writer, &format!("{value}\n"));
                     }
                     break;
                 }
@@ -890,33 +617,29 @@ fn proxy_job(
                 // the client's stream seamless: the duplicate
                 // `accepted` is swallowed, already-delivered members
                 // are suppressed above.
-                state.backends[backend_index]
+                state.backends[stream.backend]
                     .alive
                     .store(false, Ordering::SeqCst);
-                dead_backends.push(backend_index);
+                dead_backends.push(stream.backend);
                 match open_stream(spec, deadline_ms, state, &dead_backends) {
-                    Ok((next_conn, next_index, _, next_job, _, _)) => {
-                        conn = next_conn;
-                        backend_index = next_index;
-                        backend_job = next_job;
+                    Ok(next) => {
+                        stream = next;
                         let mut jobs = state.jobs.lock().expect("job list poisoned");
                         if let Some(job) = jobs.iter_mut().find(|job| job.job_id == job_id) {
-                            job.backend = state.backends[backend_index].addr.clone();
-                            job.backend_job = backend_job;
+                            job.backend = state.backends[stream.backend].addr.clone();
+                            job.backend_job = stream.job_id;
                         }
                     }
-                    Err(RouteFailure::Terminal(_)) => {
+                    Err(_) => {
                         if client_alive {
-                            client_alive = writer
-                                .write_all(
-                                    error_event(
-                                        "queue",
-                                        "backend died mid-job and no live backend can \
-                                         take the re-route",
-                                    )
-                                    .as_bytes(),
-                                )
-                                .is_ok();
+                            client_alive = write_line(
+                                writer,
+                                &error_event(
+                                    "queue",
+                                    "backend died mid-job and no live backend can take the \
+                                     re-route",
+                                ),
+                            );
                         }
                         break;
                     }
@@ -936,6 +659,7 @@ fn proxy_job(
 mod tests {
     use super::*;
     use crate::serve::WIRE_SCHEMA;
+    use serde::json;
 
     fn addrs(n: usize) -> Vec<String> {
         (0..n).map(|i| format!("127.0.0.1:{}", 7500 + i)).collect()
@@ -1025,7 +749,7 @@ mod tests {
                 "members": 3, "setups_built": 1, "cache_size": 1}"#,
         )
         .unwrap();
-        let line = relabel_job_id(&value, 42);
+        let line = relabel_job_id(value, 42);
         let relabelled = json::parse(line.trim_end()).unwrap();
         assert_eq!(relabelled.get("job_id").and_then(Value::as_u64), Some(42));
         assert_eq!(relabelled.get("members").and_then(Value::as_u64), Some(3));

@@ -29,85 +29,29 @@
 //!
 //! Both directions speak **newline-delimited JSON**: every message is one
 //! compact JSON object on one line, tagged `"wire": "imcis.wire/2"` and
-//! `"type": ...`. The full field-by-field reference lives in
-//! `docs/FORMATS.md`; in short:
+//! `"type": ...`. `docs/FORMATS.md` is the normative field-by-field
+//! reference (its examples run through [`parse_request`] and
+//! [`validate_event`]); in short:
 //!
-//! **Requests** (client → server):
-//!
-//! * `{"wire": "imcis.wire/2", "type": "submit", "suite": {...}}` —
-//!   execute an embedded `imcis.suitespec/1` manifest. A server-side
-//!   path may be used instead of an embedded object:
-//!   `{"type": "submit", "file": "specs/suite.json"}`. An optional
-//!   positive `deadline_ms` bounds the job: members not yet started
-//!   when the deadline passes are reported as typed `timeout` member
-//!   errors (running members always finish — deadlines are enforced at
-//!   member boundaries).
-//! * `{"type": "cancel", "job_id": N}` — cancel an active job at the
-//!   next member boundary (usually sent on a second connection while
-//!   the first streams). Acknowledged with `cancelled`; members not yet
-//!   started become typed `cancelled` member errors.
-//! * `{"type": "status"}` — load snapshot, answered with a `status`
-//!   event (queue depth/capacity, active jobs, workers, cache size,
-//!   uptime).
-//! * `{"type": "health"}` — lightweight liveness/identity probe,
-//!   answered with a `health` event (`version`, `workers`,
-//!   `uptime_ms`) without touching the job queue or any lock — the
-//!   heartbeat primitive of the [router](crate::router) tier.
-//! * `{"type": "ping"}` — liveness probe, answered with `pong`.
-//! * `{"type": "shutdown"}` — stop accepting connections, drain active
-//!   jobs, exit.
-//!
-//! **Events** (server → client), per submitted job:
-//!
-//! * `accepted` — the manifest validated and the job was enqueued:
-//!   carries `job_id`, the `members` count, and the shared-cache
-//!   observables `setups_built` (scenario builds this job caused) and
-//!   `cache_size`.
-//! * `member_report` — one member finished: `(job_id, member_index)`
-//!   plus the member's **stable** payload. A plain run member carries
-//!   its `report` (`imcis.report/2`, no `timing`); a campaign member
-//!   carries the complete member `entry` (`{"status": …, ["message":
-//!   …,] "campaign": {…}}`) exactly as the suite report embeds it.
-//!   Events arrive in *completion* order; the index lets the client
-//!   reassemble manifest order.
-//! * `stage_report` — one campaign **stage** finished (streamed between
-//!   `member_report`s): `(job_id, member_index, stage, stages_done,
-//!   converged)` plus that stage's stable report JSON. Purely
-//!   observational — the terminal member entry repeats every stage.
-//! * `member_error` — one *run* member failed: `(job_id, member_index)`
-//!   plus the typed `status` (`error` | `panic` | `timeout` |
-//!   `cancelled`) and its deterministic `message`. The job keeps going —
-//!   a failing member never takes its suite (or a worker) down. A
-//!   failing campaign member instead reports the typed failure inside
-//!   its `member_report` entry (stage sequence included).
-//! * `suite_report` — terminal: the assembled stable suite report JSON
-//!   (`imcis.suitereport/2` for run-only manifests, `/3` when a
-//!   campaign member is present; member outcomes embedded, failures
-//!   included), byte-identical to what `imcis suite` computes for the
-//!   same manifest.
-//! * `rejected` — the bounded queue is full, **or** the connection is
-//!   over its per-client rate limit ([`ServeConfig::rate`]): carries
-//!   `retry_after_ms`. The job was **not** enqueued; back off and
-//!   resubmit (the `imcis submit` client does capped exponential
-//!   backoff automatically).
-//! * `cancelled` — acknowledges a `cancel` request for an active job.
-//! * `status` — answers a `status` request. Two shapes share the tag:
-//!   a daemon answers the flat load snapshot (plus a `campaigns` array
-//!   — `{job_id, member, stage, stages_done}` per in-flight campaign
-//!   member — present exactly when non-empty); a router
-//!   (`"role": "router"`) answers the aggregated per-backend view —
-//!   [`StatusSnapshot`] decodes both.
-//! * `health` — answers a `health` request (`version`, `workers`,
-//!   `uptime_ms`).
-//! * `error` — a wire/spec/session/queue failure (`error` names the
-//!   class, `message` carries the pinned human-readable text). Spec
-//!   errors keep the connection open; the client may submit again.
-//! * `pong` / `shutting_down` — answers to `ping` / `shutdown`;
-//!   `shutting_down` lists in-flight job dispositions (`jobs`: id,
-//!   member count, members done so far, and — when the job has campaign
-//!   members mid-flight — a `campaigns` array with their per-member
-//!   `{stage, stages_done}` progress; those jobs still drain to
-//!   completion).
+//! * **Requests**: `submit` (an embedded `suite` manifest or a
+//!   server-side `file`, with an optional positive `deadline_ms`
+//!   enforced at member boundaries), `cancel {job_id}` (at the next
+//!   member boundary), `status`, `health` (answered without touching the
+//!   job queue — the [router](crate::router)'s heartbeat), `ping`, and
+//!   `shutdown` (stop accepting, drain active jobs, exit).
+//! * **Job events**: `accepted {job_id, members, setups_built,
+//!   cache_size}`, then one `member_report` or `member_error` per member
+//!   in *completion* order — tagged `(job_id, member_index)` so clients
+//!   reassemble manifest order — with a `stage_report` per finished
+//!   campaign stage in between, and a terminal `suite_report`
+//!   byte-identical to `imcis suite` on the same manifest. A full queue
+//!   or an exceeded per-connection rate ([`ServeConfig::rate`]) answers
+//!   `rejected {retry_after_ms}` instead: the job was not enqueued.
+//! * **Other answers**: `cancelled`, `status` (a daemon's flat snapshot
+//!   or a router's aggregation — [`StatusSnapshot`] decodes both),
+//!   `health`, `pong`, `shutting_down` (in-flight job dispositions) and
+//!   `error` (class `wire` | `spec` | `session` | `queue`; the
+//!   connection stays open).
 //!
 //! Timing is the only volatile data and travels **in event envelopes
 //! only** (`elapsed_ms`): the embedded report payloads are the stable
@@ -119,8 +63,12 @@
 //! ([`run_member_supervised`](crate::suite)): a panicking member becomes
 //! a typed `member_error` event and a `status: "panic"` entry in the
 //! suite report — the worker survives and the [`SetupCache`] stays warm.
-//! Transient `accept()` and write failures are survived; reads carry a
-//! poll deadline so a stalled client can never pin the shutdown drain.
+//! Connections are served by the endpoint the daemon shares with the
+//! [router](crate::router) (the crate-private `wire` module): transient
+//! `accept()` and write failures are survived, reads carry a poll
+//! deadline so a stalled client can never pin the shutdown drain, and a
+//! request line over 4 MiB is discarded unbuffered and answered with a
+//! `wire` error.
 //! The deterministic fault-injection harness ([`crate::fault`], gated
 //! behind `IMCIS_FAULT_INJECTION=1`) exists to prove all of this
 //! reproducibly — see `tests/fault.rs`.
@@ -176,10 +124,10 @@
 //! ```
 
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use imc_models::ScenarioRegistry;
@@ -193,17 +141,13 @@ use crate::suite::{
     CampaignSpec, MemberOutcome, MemberStatus, SetupCache, StageOutcome, Suite, SuiteReport,
     SuiteSpec,
 };
+use crate::wire::{error_event, event, rejected_event, write_line, Endpoint, Role};
 
 /// Schema tag carried by every wire message, both directions.
 pub const WIRE_SCHEMA: &str = "imcis.wire/2";
 
 /// The backoff hint a `rejected` event carries when the queue is full.
 pub const RETRY_AFTER_MS: u64 = 100;
-
-/// Poll interval for connection reads: a handler blocked on a silent
-/// client re-checks the shutdown flag this often, so a stalled client
-/// can never pin the drain.
-pub(crate) const READ_POLL_MS: u64 = 200;
 
 /// Everything that can go wrong while serving or talking to a server.
 #[derive(Debug)]
@@ -393,7 +337,7 @@ struct MemberDone {
     outcome: MemberOutcome,
 }
 
-/// State shared by the accept loop, connection handlers and workers.
+/// The daemon role: state shared by connection handlers and workers.
 struct ServerState {
     registry: ScenarioRegistry,
     /// The process-wide scenario cache: every job on every connection
@@ -401,9 +345,6 @@ struct ServerState {
     /// for the server's whole lifetime.
     cache: Mutex<SetupCache>,
     next_job: AtomicU64,
-    next_connection: AtomicU64,
-    shutdown: AtomicBool,
-    local_addr: SocketAddr,
     /// Repetition-fanout budget handed to each member session so the
     /// pool divides the machine instead of oversubscribing it.
     rep_threads: usize,
@@ -411,7 +352,6 @@ struct ServerState {
     /// Per-connection submit rate limit ([`ServeConfig::rate`]); `0`
     /// disables.
     rate: u64,
-    started: Instant,
     /// Enqueued-but-unfinished member tasks across all jobs. Submits
     /// reserve their member count up front (or get `rejected`); workers
     /// release one reservation per finished task.
@@ -420,54 +360,12 @@ struct ServerState {
     /// Active jobs, registration order — the `cancel`/`status`/
     /// `shutdown` handlers' view of in-flight work.
     jobs: Mutex<Vec<Arc<JobControl>>>,
-    /// Open connections: `(id, read handle)`. The count drives the
-    /// drain-on-shutdown wait; the handles let the drain read-shutdown
-    /// idle connections (the fast path — the read poll interval is the
-    /// backstop for connections the sweep misses), while handlers
-    /// mid-job keep streaming — write halves are untouched.
-    connections: Mutex<Vec<(u64, TcpStream)>>,
-    idle: Condvar,
+    /// The worker pool's task sender; taken (and so dropped) after the
+    /// drain, which retires the pool.
+    tasks: Mutex<Option<SyncSender<MemberTask>>>,
 }
 
 impl ServerState {
-    /// Registers a connection for the shutdown drain. `None` means the
-    /// drain handle could not be cloned (fd pressure) — the caller must
-    /// refuse the connection: serving it untracked would leave the
-    /// drain unable to unblock its reader, hanging shutdown forever.
-    fn register_connection(&self, stream: &TcpStream) -> Option<u64> {
-        let handle = stream.try_clone().ok()?;
-        let id = self.next_connection.fetch_add(1, Ordering::SeqCst);
-        self.connections
-            .lock()
-            .expect("connection list poisoned")
-            .push((id, handle));
-        Some(id)
-    }
-
-    fn deregister_connection(&self, id: u64) {
-        let mut connections = self.connections.lock().expect("connection list poisoned");
-        connections.retain(|(conn, _)| *conn != id);
-        if connections.is_empty() {
-            self.idle.notify_all();
-        }
-    }
-
-    /// Unblocks every handler parked in a read, then waits for all
-    /// connections to finish (in-flight jobs stream to completion —
-    /// only the read halves are closed).
-    fn drain_connections(&self) {
-        let mut connections = self.connections.lock().expect("connection list poisoned");
-        for (_, stream) in connections.iter() {
-            let _ = stream.shutdown(std::net::Shutdown::Read);
-        }
-        while !connections.is_empty() {
-            connections = self
-                .idle
-                .wait(connections)
-                .expect("connection list poisoned");
-        }
-    }
-
     fn register_job(&self, control: Arc<JobControl>) {
         self.jobs.lock().expect("job list poisoned").push(control);
     }
@@ -479,17 +377,91 @@ impl ServerState {
             .retain(|job| job.job_id != job_id);
     }
 
-    /// Flags an active job for cancellation at its next member
-    /// boundary; `false` when no such job is active.
-    fn cancel_job(&self, job_id: u64) -> bool {
+    /// Every active job's campaign progress, flattened for the `status`
+    /// answer: `{job_id, member, stage, stages_done}` entries in
+    /// `(job, member)` order. Empty when nothing campaign-shaped is in
+    /// flight (and then omitted from the event).
+    fn campaign_progress(&self) -> Vec<Value> {
+        self.jobs
+            .lock()
+            .expect("job list poisoned")
+            .iter()
+            .flat_map(|job| {
+                job.stage_snapshot()
+                    .into_iter()
+                    .map(|(member, stage)| campaign_progress_value(Some(job.job_id), member, stage))
+                    .collect::<Vec<_>>()
+            })
+            .collect()
+    }
+}
+
+impl Role for ServerState {
+    /// The connection's submit token bucket, `(tokens, last refill)`:
+    /// capacity = refill rate = submits per second. A fresh connection
+    /// starts full, so bursts up to the rate go through; beyond that,
+    /// submits cost a token each and the deficit converts directly into
+    /// the `retry_after_ms` hint.
+    type Connection = (f64, Instant);
+
+    fn connection(&self) -> Self::Connection {
+        (self.rate as f64, Instant::now())
+    }
+
+    fn workers(&self) -> u64 {
+        self.workers as u64
+    }
+
+    fn submit(
+        &self,
+        bucket: &mut Self::Connection,
+        spec: &SuiteSpec,
+        deadline_ms: Option<u64>,
+        writer: &mut TcpStream,
+    ) -> bool {
+        match take_rate_token(self.rate, &mut bucket.0, &mut bucket.1) {
+            Some(retry_after_ms) => write_line(writer, &rejected_event(retry_after_ms)),
+            None => run_job(spec, deadline_ms, writer, self),
+        }
+    }
+
+    /// Flags an active job for cancellation at its next member boundary.
+    fn cancel(&self, job_id: u64) -> String {
         let jobs = self.jobs.lock().expect("job list poisoned");
         match jobs.iter().find(|job| job.job_id == job_id) {
             Some(job) => {
                 job.cancelled.store(true, Ordering::SeqCst);
-                true
+                event("cancelled", [("job_id".to_string(), Value::UInt(job_id))])
             }
-            None => false,
+            None => error_event("queue", &format!("job {job_id} is not active")),
         }
+    }
+
+    fn status(&self, uptime_ms: u64) -> String {
+        let cache_size = self.cache.lock().expect("setup cache poisoned").len();
+        let active_jobs = self.jobs.lock().expect("job list poisoned").len();
+        let mut fields = vec![
+            (
+                "queue_depth".to_string(),
+                Value::UInt(self.queue_depth.load(Ordering::SeqCst) as u64),
+            ),
+            (
+                "queue_capacity".to_string(),
+                Value::UInt(self.queue_capacity as u64),
+            ),
+            ("active_jobs".to_string(), Value::UInt(active_jobs as u64)),
+            ("workers".to_string(), Value::UInt(self.workers as u64)),
+            ("cache_size".to_string(), Value::UInt(cache_size as u64)),
+            ("uptime_ms".to_string(), Value::UInt(uptime_ms)),
+        ];
+        // Per-campaign stage progress, present exactly when a campaign
+        // member is mid-flight: run-only traffic keeps its pre-campaign
+        // event shape.
+        let campaigns = self.campaign_progress();
+        if !campaigns.is_empty() {
+            fields.push(("campaigns".to_string(), Value::Array(campaigns)));
+        }
+        event("status", fields)
     }
 
     /// The in-flight job dispositions reported by `shutting_down`. A job
@@ -522,24 +494,6 @@ impl ServerState {
             })
             .collect()
     }
-
-    /// Every active job's campaign progress, flattened for the `status`
-    /// answer: `{job_id, member, stage, stages_done}` entries in
-    /// `(job, member)` order. Empty when nothing campaign-shaped is in
-    /// flight (and then omitted from the event).
-    fn campaign_progress(&self) -> Vec<Value> {
-        self.jobs
-            .lock()
-            .expect("job list poisoned")
-            .iter()
-            .flat_map(|job| {
-                job.stage_snapshot()
-                    .into_iter()
-                    .map(|(member, stage)| campaign_progress_value(Some(job.job_id), member, stage))
-                    .collect::<Vec<_>>()
-            })
-            .collect()
-    }
 }
 
 /// One campaign progress entry: `stage` is the last finished stage,
@@ -562,9 +516,7 @@ fn campaign_progress_value(job_id: Option<u64>, member: usize, stage: usize) -> 
 /// The suite-serving daemon. See the [module docs](self) for the wire
 /// protocol and determinism contract.
 pub struct Server {
-    listener: TcpListener,
-    state: Arc<ServerState>,
-    tasks: SyncSender<MemberTask>,
+    endpoint: Arc<Endpoint<ServerState>>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -577,31 +529,24 @@ impl Server {
     ///
     /// [`ServeError::Io`] when the address cannot be bound.
     pub fn bind(config: ServeConfig) -> Result<Self, ServeError> {
-        let listener = TcpListener::bind(&config.addr)
-            .map_err(|e| ServeError::Io(format!("cannot bind `{}`: {e}", config.addr)))?;
-        let local_addr = listener.local_addr()?;
         let workers = imc_sim::parallel::resolve_threads(config.workers);
         let queue_capacity = config.queue.max(1);
-        let state = Arc::new(ServerState {
-            registry: ScenarioRegistry::builtin(),
-            cache: Mutex::new(SetupCache::new()),
-            next_job: AtomicU64::new(1),
-            next_connection: AtomicU64::new(1),
-            shutdown: AtomicBool::new(false),
-            local_addr,
-            rep_threads: (imc_sim::parallel::available_threads() / workers).max(1),
-            workers,
-            rate: config.rate,
-            started: Instant::now(),
-            queue_depth: Arc::new(AtomicUsize::new(0)),
-            queue_capacity,
-            jobs: Mutex::new(Vec::new()),
-            connections: Mutex::new(Vec::new()),
-            idle: Condvar::new(),
-        });
         // The channel is as deep as the advertised capacity and submits
         // reserve their members before sending, so `send` never blocks.
         let (tasks, task_rx) = mpsc::sync_channel::<MemberTask>(queue_capacity);
+        let state = ServerState {
+            registry: ScenarioRegistry::builtin(),
+            cache: Mutex::new(SetupCache::new()),
+            next_job: AtomicU64::new(1),
+            rep_threads: (imc_sim::parallel::available_threads() / workers).max(1),
+            workers,
+            rate: config.rate,
+            queue_depth: Arc::new(AtomicUsize::new(0)),
+            queue_capacity,
+            jobs: Mutex::new(Vec::new()),
+            tasks: Mutex::new(Some(tasks)),
+        };
+        let endpoint = Endpoint::bind(&config.addr, state)?;
         let task_rx = Arc::new(Mutex::new(task_rx));
         let pool = (0..workers)
             .map(|_| {
@@ -610,77 +555,42 @@ impl Server {
             })
             .collect();
         Ok(Server {
-            listener,
-            state,
-            tasks,
+            endpoint,
             workers: pool,
         })
     }
 
     /// The bound listen address (resolves port `0` to the actual port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.state.local_addr
+        self.endpoint.local_addr()
     }
 
     /// Accepts and serves connections until a client sends `shutdown`,
     /// then drains active jobs and joins the worker pool.
     ///
-    /// Transient accept failures (a queued connection reset before it
-    /// was accepted, momentary fd exhaustion) never kill the daemon —
-    /// in-flight jobs must stream to completion. Only a persistently
-    /// failing listener gives up, and even then the drain runs first.
+    /// Transient accept failures never kill the daemon; only a
+    /// persistently failing listener gives up, and even then the drain
+    /// runs first.
     ///
     /// # Errors
     ///
     /// [`ServeError::Io`] when the accept loop fails irrecoverably.
     pub fn run(self) -> Result<(), ServeError> {
-        let mut accept_result = Ok(());
-        let mut consecutive_errors = 0u32;
-        loop {
-            let stream = match self.listener.accept() {
-                Ok((stream, _)) => {
-                    consecutive_errors = 0;
-                    stream
-                }
-                Err(e) => {
-                    if self.state.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    consecutive_errors += 1;
-                    if consecutive_errors >= 100 {
-                        accept_result = Err(ServeError::Io(format!(
-                            "accept failed {consecutive_errors} times in a row: {e}"
-                        )));
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
-                    continue;
-                }
-            };
-            if self.state.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let state = Arc::clone(&self.state);
-            let tasks = self.tasks.clone();
-            let Some(id) = state.register_connection(&stream) else {
-                drop(stream); // untrackable (fd pressure): refuse it
-                continue;
-            };
-            std::thread::spawn(move || {
-                handle_connection(stream, &state, &tasks);
-                state.deregister_connection(id);
-            });
-        }
-        // Drain: unblock idle handlers, wait for every open connection
-        // (and hence every enqueued job) to finish, then retire the pool
-        // by dropping the last task sender. Runs on the error path too —
-        // a dying listener must not cut off streams mid-job.
-        self.state.drain_connections();
-        drop(self.tasks);
+        let result = self.endpoint.serve();
+        // Every connection (and hence every enqueued job) has finished:
+        // retire the pool by dropping the last task sender.
+        drop(
+            self.endpoint
+                .role
+                .tasks
+                .lock()
+                .expect("task sender poisoned")
+                .take(),
+        );
         for worker in self.workers {
             worker.join().expect("worker thread panicked");
         }
-        accept_result
+        result
     }
 
     /// Runs the server on a background thread (tests, in-process use).
@@ -880,46 +790,6 @@ pub fn parse_request(value: &Value) -> Result<Request, (String, String)> {
     }
 }
 
-/// Builds one compact single-line event with the common envelope.
-pub(crate) fn event(kind: &str, fields: impl IntoIterator<Item = (String, Value)>) -> String {
-    let mut pairs = vec![
-        ("wire".to_string(), Value::Str(WIRE_SCHEMA.into())),
-        ("type".to_string(), Value::Str(kind.into())),
-    ];
-    pairs.extend(fields);
-    format!("{}\n", Value::Object(pairs))
-}
-
-pub(crate) fn error_event(class: &str, message: &str) -> String {
-    event(
-        "error",
-        [
-            ("error".to_string(), Value::Str(class.into())),
-            ("message".to_string(), Value::Str(message.into())),
-        ],
-    )
-}
-
-/// Builds the `health` answer: version + worker count + uptime, shared
-/// by the daemon and the router (whose "workers" are its live
-/// backends).
-pub(crate) fn health_event(workers: u64, started: &Instant) -> String {
-    event(
-        "health",
-        [
-            (
-                "version".to_string(),
-                Value::Str(env!("CARGO_PKG_VERSION").into()),
-            ),
-            ("workers".to_string(), Value::UInt(workers)),
-            (
-                "uptime_ms".to_string(),
-                Value::UInt(started.elapsed().as_millis() as u64),
-            ),
-        ],
-    )
-}
-
 /// Takes one token from a per-connection submit bucket. `None` means
 /// the submit may proceed; `Some(retry_after_ms)` is the backoff hint
 /// to answer with (`rejected`). `rate == 0` disables limiting.
@@ -941,164 +811,6 @@ fn take_rate_token(rate: u64, tokens: &mut f64, refilled: &mut Instant) -> Optio
     Some(deficit_ms.max(1))
 }
 
-/// The address the shutdown handler connects to so the blocking accept
-/// loop wakes up and observes the flag: the bound address itself, with
-/// a wildcard IP (`0.0.0.0` / `::`) replaced by the matching loopback —
-/// a wildcard is a *listen* address, not a connectable destination on
-/// every platform.
-pub(crate) fn wake_addr(local: SocketAddr) -> SocketAddr {
-    let mut addr = local;
-    if addr.ip().is_unspecified() {
-        addr.set_ip(match addr {
-            SocketAddr::V4(_) => std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
-            SocketAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
-        });
-    }
-    addr
-}
-
-/// Reads one request line under the connection's poll deadline. Retries
-/// timeouts **without clearing** `line` — `read_line` may already have
-/// buffered a partial line, and clearing would drop those bytes —
-/// re-checking the shutdown flag on every poll. Returns `false` when
-/// the connection should close (EOF, hard error, or shutdown).
-fn read_request_line(
-    reader: &mut BufReader<TcpStream>,
-    state: &ServerState,
-    line: &mut String,
-) -> bool {
-    line.clear();
-    loop {
-        match reader.read_line(line) {
-            Ok(0) => return false,
-            Ok(_) => return true,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if state.shutdown.load(Ordering::SeqCst) {
-                    return false;
-                }
-            }
-            Err(_) => return false,
-        }
-    }
-}
-
-/// Serves one connection: a loop of requests, each answered by one or
-/// more events. Returns when the client disconnects, the shutdown drain
-/// begins, or after handling `shutdown`.
-fn handle_connection(stream: TcpStream, state: &ServerState, tasks: &SyncSender<MemberTask>) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    // A finite read timeout turns a blocked reader into a poll: a client
-    // that connects and never sends a line cannot delay the shutdown
-    // drain (the drain's read-shutdown sweep is the fast path; this is
-    // the backstop for connections the sweep misses).
-    let _ = read_half.set_read_timeout(Some(Duration::from_millis(READ_POLL_MS)));
-    let mut writer = stream;
-    let mut reader = BufReader::new(read_half);
-    let mut line = String::new();
-    // Per-connection token bucket (capacity = refill rate = submits per
-    // second). A fresh connection starts full, so bursts up to the rate
-    // go through; beyond that, submits cost a token each and the
-    // deficit converts directly into the `retry_after_ms` hint.
-    let mut rate_tokens = state.rate as f64;
-    let mut rate_refilled = Instant::now();
-    loop {
-        if !read_request_line(&mut reader, state, &mut line) {
-            return;
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let request = match json::parse(line.trim_end()) {
-            Ok(value) => parse_request(&value),
-            Err(e) => Err((
-                "wire".to_string(),
-                format!("request is not valid JSON: {e}"),
-            )),
-        };
-        let keep_going = match request {
-            Err((class, message)) => writer
-                .write_all(error_event(&class, &message).as_bytes())
-                .is_ok(),
-            Ok(Request::Ping) => writer.write_all(event("pong", []).as_bytes()).is_ok(),
-            Ok(Request::Health) => writer
-                .write_all(health_event(state.workers as u64, &state.started).as_bytes())
-                .is_ok(),
-            Ok(Request::Status) => {
-                let cache_size = state.cache.lock().expect("setup cache poisoned").len();
-                let active_jobs = state.jobs.lock().expect("job list poisoned").len();
-                let mut fields = vec![
-                    (
-                        "queue_depth".to_string(),
-                        Value::UInt(state.queue_depth.load(Ordering::SeqCst) as u64),
-                    ),
-                    (
-                        "queue_capacity".to_string(),
-                        Value::UInt(state.queue_capacity as u64),
-                    ),
-                    ("active_jobs".to_string(), Value::UInt(active_jobs as u64)),
-                    ("workers".to_string(), Value::UInt(state.workers as u64)),
-                    ("cache_size".to_string(), Value::UInt(cache_size as u64)),
-                    (
-                        "uptime_ms".to_string(),
-                        Value::UInt(state.started.elapsed().as_millis() as u64),
-                    ),
-                ];
-                // Per-campaign stage progress, present exactly when a
-                // campaign member is mid-flight: run-only traffic keeps
-                // its pre-campaign event shape.
-                let campaigns = state.campaign_progress();
-                if !campaigns.is_empty() {
-                    fields.push(("campaigns".to_string(), Value::Array(campaigns)));
-                }
-                writer.write_all(event("status", fields).as_bytes()).is_ok()
-            }
-            Ok(Request::Cancel { job_id }) => {
-                let line = if state.cancel_job(job_id) {
-                    event("cancelled", [("job_id".to_string(), Value::UInt(job_id))])
-                } else {
-                    error_event("queue", &format!("job {job_id} is not active"))
-                };
-                writer.write_all(line.as_bytes()).is_ok()
-            }
-            Ok(Request::Shutdown) => {
-                state.shutdown.store(true, Ordering::SeqCst);
-                let line = event(
-                    "shutting_down",
-                    [("jobs".to_string(), Value::Array(state.job_dispositions()))],
-                );
-                let _ = writer.write_all(line.as_bytes());
-                // Wake the accept loop so it observes the flag. A
-                // wildcard bind (0.0.0.0/::) is not a connectable
-                // destination everywhere, so aim at loopback instead.
-                let _ = TcpStream::connect(wake_addr(state.local_addr));
-                false
-            }
-            Ok(Request::Submit { spec, deadline_ms }) => {
-                match take_rate_token(state.rate, &mut rate_tokens, &mut rate_refilled) {
-                    Some(retry_after_ms) => {
-                        let line = event(
-                            "rejected",
-                            [("retry_after_ms".to_string(), Value::UInt(retry_after_ms))],
-                        );
-                        writer.write_all(line.as_bytes()).is_ok()
-                    }
-                    None => run_job(&spec, deadline_ms, &mut writer, state, tasks),
-                }
-            }
-        };
-        if !keep_going {
-            return;
-        }
-    }
-}
-
 /// Executes one submitted suite: resolve through the shared cache,
 /// reserve queue capacity (or reject), enqueue member tasks, stream
 /// events as members complete, emit the terminal report. Returns
@@ -1109,7 +821,6 @@ fn run_job(
     deadline_ms: Option<u64>,
     writer: &mut TcpStream,
     state: &ServerState,
-    tasks: &SyncSender<MemberTask>,
 ) -> bool {
     let started = Instant::now();
     // Resolve every member against the process-wide cache. The lock is
@@ -1120,11 +831,7 @@ fn run_job(
         let mut cache = state.cache.lock().expect("setup cache poisoned");
         let suite = match Suite::from_spec_with_cache(spec.clone(), &state.registry, &mut cache) {
             Ok(suite) => suite,
-            Err(e) => {
-                return writer
-                    .write_all(error_event("session", &e.to_string()).as_bytes())
-                    .is_ok()
-            }
+            Err(e) => return write_line(writer, &error_event("session", &e.to_string())),
         };
         (suite, cache.len())
     };
@@ -1134,18 +841,11 @@ fn run_job(
     // blocking `send`; an oversized suite can never fit and is a typed
     // `queue` error.
     if members > state.queue_capacity {
-        return writer
-            .write_all(
-                error_event(
-                    "queue",
-                    &format!(
-                        "suite has {members} members but the queue capacity is {}",
-                        state.queue_capacity
-                    ),
-                )
-                .as_bytes(),
-            )
-            .is_ok();
+        let message = format!(
+            "suite has {members} members but the queue capacity is {}",
+            state.queue_capacity
+        );
+        return write_line(writer, &error_event("queue", &message));
     }
     if state
         .queue_depth
@@ -1154,11 +854,7 @@ fn run_job(
         })
         .is_err()
     {
-        let line = event(
-            "rejected",
-            [("retry_after_ms".to_string(), Value::UInt(RETRY_AFTER_MS))],
-        );
-        return writer.write_all(line.as_bytes()).is_ok();
+        return write_line(writer, &rejected_event(RETRY_AFTER_MS));
     }
     let job_id = state.next_job.fetch_add(1, Ordering::SeqCst);
     let control = Arc::new(JobControl {
@@ -1171,9 +867,7 @@ fn run_job(
         campaign_stages: Mutex::new(Vec::new()),
     });
     state.register_job(Arc::clone(&control));
-    let alive = stream_job(
-        &suite, job_id, cache_size, &control, started, writer, state, tasks,
-    );
+    let alive = stream_job(&suite, job_id, cache_size, &control, started, writer, state);
     state.deregister_job(job_id);
     alive
 }
@@ -1181,7 +875,6 @@ fn run_job(
 /// The streaming phase of [`run_job`]: `accepted`, member events in
 /// completion order, terminal `suite_report`. Queue reservations are
 /// already held; workers release them task by task.
-#[allow(clippy::too_many_arguments)]
 fn stream_job(
     suite: &Suite,
     job_id: u64,
@@ -1190,7 +883,6 @@ fn stream_job(
     started: Instant,
     writer: &mut TcpStream,
     state: &ServerState,
-    tasks: &SyncSender<MemberTask>,
 ) -> bool {
     let sessions = suite.sessions();
     let members = sessions.len();
@@ -1206,13 +898,14 @@ fn stream_job(
             ("cache_size".to_string(), Value::UInt(cache_size as u64)),
         ],
     );
-    if writer.write_all(accepted.as_bytes()).is_err() {
+    if !write_line(writer, &accepted) {
         // Nothing was enqueued: hand the reservations back.
         state.queue_depth.fetch_sub(members, Ordering::SeqCst);
         return false;
     }
     let fault = suite.spec().fault.clone().map(Arc::new);
     let (reply, done_rx) = mpsc::channel::<WorkerEvent>();
+    let tasks = state.tasks.lock().expect("task sender poisoned").clone();
     for (member_index, session) in sessions.iter().enumerate() {
         let task = MemberTask {
             member_index,
@@ -1224,15 +917,13 @@ fn stream_job(
             queue_depth: Arc::clone(&state.queue_depth),
             reply: reply.clone(),
         };
-        if tasks.send(task).is_err() {
+        if tasks.as_ref().is_none_or(|tasks| tasks.send(task).is_err()) {
             // Pool retired under us (server terminating); hand back the
             // reservations that never reached the queue.
             state
                 .queue_depth
                 .fetch_sub(members - member_index, Ordering::SeqCst);
-            return writer
-                .write_all(error_event("queue", "server is shutting down").as_bytes())
-                .is_ok();
+            return write_line(writer, &error_event("queue", "server is shutting down"));
         }
     }
     drop(reply); // done_rx ends after the last member reports
@@ -1263,7 +954,7 @@ fn stream_job(
                             ("report".to_string(), stage.report),
                         ],
                     );
-                    client_alive = writer.write_all(line.as_bytes()).is_ok();
+                    client_alive = write_line(writer, &line);
                 }
                 continue;
             }
@@ -1271,49 +962,34 @@ fn stream_job(
         };
         per_run_ms[done.member_index] = done.elapsed_ms;
         if client_alive {
-            let line = match &done.outcome {
-                MemberOutcome::Ok(report) => event(
-                    "member_report",
-                    [
-                        ("job_id".to_string(), Value::UInt(job_id)),
-                        (
-                            "member_index".to_string(),
-                            Value::UInt(done.member_index as u64),
-                        ),
-                        ("elapsed_ms".to_string(), Value::Float(done.elapsed_ms)),
-                        ("report".to_string(), report.to_json_stable()),
-                    ],
+            let mut fields = vec![
+                ("job_id".to_string(), Value::UInt(job_id)),
+                (
+                    "member_index".to_string(),
+                    Value::UInt(done.member_index as u64),
                 ),
+                ("elapsed_ms".to_string(), Value::Float(done.elapsed_ms)),
+            ];
+            let kind = match &done.outcome {
+                MemberOutcome::Ok(report) => {
+                    fields.push(("report".to_string(), report.to_json_stable()));
+                    "member_report"
+                }
                 // A campaign member's terminal event carries the whole
                 // member entry — stage sequence included, failed or not
                 // — exactly as the suite report embeds it.
-                MemberOutcome::Campaign(_) => event(
-                    "member_report",
-                    [
-                        ("job_id".to_string(), Value::UInt(job_id)),
-                        (
-                            "member_index".to_string(),
-                            Value::UInt(done.member_index as u64),
-                        ),
-                        ("elapsed_ms".to_string(), Value::Float(done.elapsed_ms)),
-                        ("entry".to_string(), done.outcome.to_json_stable()),
-                    ],
-                ),
-                MemberOutcome::Failed { status, message } => event(
-                    "member_error",
-                    [
-                        ("job_id".to_string(), Value::UInt(job_id)),
-                        (
-                            "member_index".to_string(),
-                            Value::UInt(done.member_index as u64),
-                        ),
-                        ("elapsed_ms".to_string(), Value::Float(done.elapsed_ms)),
-                        ("status".to_string(), Value::Str(status.as_str().into())),
-                        ("message".to_string(), Value::Str(message.clone())),
-                    ],
-                ),
+                MemberOutcome::Campaign(_) => {
+                    fields.push(("entry".to_string(), done.outcome.to_json_stable()));
+                    "member_report"
+                }
+                MemberOutcome::Failed { status, message } => {
+                    fields.push(("status".to_string(), Value::Str(status.as_str().into())));
+                    fields.push(("message".to_string(), Value::Str(message.clone())));
+                    "member_error"
+                }
             };
-            client_alive = writer.write_all(line.as_bytes()).is_ok();
+            let line = event(kind, fields);
+            client_alive = write_line(writer, &line);
         }
         slots[done.member_index] = Some(done.outcome);
     }
@@ -1342,7 +1018,7 @@ fn stream_job(
             ("suite_report".to_string(), report.to_json_stable()),
         ],
     );
-    writer.write_all(line.as_bytes()).is_ok()
+    write_line(writer, &line)
 }
 
 /// A snapshot of daemon load, answered to a `status` request.
@@ -1472,7 +1148,6 @@ pub(crate) enum Event {
         retry_after_ms: u64,
     },
     Cancelled {
-        #[allow(dead_code)] // decoded for validation; Client::cancel checks it
         job_id: u64,
     },
     Status(StatusSnapshot),
@@ -1633,15 +1308,10 @@ pub(crate) fn parse_event(value: &Value) -> Result<Event, String> {
             job_id: need_u64("job_id")?,
         }),
         "status" => match value.get("role").and_then(Value::as_str) {
-            None => Ok(Event::Status(StatusSnapshot::Daemon(ServerStatus {
-                queue_depth: need_u64("queue_depth")?,
-                queue_capacity: need_u64("queue_capacity")?,
-                active_jobs: need_u64("active_jobs")?,
-                workers: need_u64("workers")?,
-                cache_size: need_u64("cache_size")?,
-                uptime_ms: need_u64("uptime_ms")?,
-                campaigns: parse_campaign_progress(value, "`status`")?,
-            }))),
+            None => Ok(Event::Status(StatusSnapshot::Daemon(parse_server_status(
+                value,
+                "`status` event",
+            )?))),
             Some("router") => {
                 let backends = value
                     .get("backends")
@@ -1649,36 +1319,19 @@ pub(crate) fn parse_event(value: &Value) -> Result<Event, String> {
                     .ok_or("router `status` event needs a `backends` array")?;
                 let mut parsed = Vec::with_capacity(backends.len());
                 for (i, backend) in backends.iter().enumerate() {
-                    let field = |key: &str| {
-                        backend
-                            .get(key)
-                            .and_then(Value::as_u64)
-                            .ok_or(format!("`status` backends[{i}] needs an unsigned `{key}`"))
-                    };
+                    let context = format!("`status` backends[{i}]");
                     let addr = backend
                         .get("addr")
                         .and_then(Value::as_str)
-                        .ok_or(format!("`status` backends[{i}] needs a string `addr`"))?
+                        .ok_or(format!("{context} needs a string `addr`"))?
                         .to_string();
                     let healthy = backend
                         .get("healthy")
                         .and_then(Value::as_bool)
-                        .ok_or(format!("`status` backends[{i}] needs a boolean `healthy`"))?;
-                    let status = if backend.get("queue_depth").is_some() {
-                        Some(ServerStatus {
-                            queue_depth: field("queue_depth")?,
-                            queue_capacity: field("queue_capacity")?,
-                            active_jobs: field("active_jobs")?,
-                            workers: field("workers")?,
-                            cache_size: field("cache_size")?,
-                            uptime_ms: field("uptime_ms")?,
-                            campaigns: parse_campaign_progress(
-                                backend,
-                                &format!("`status` backends[{i}]"),
-                            )?,
-                        })
-                    } else {
-                        None
+                        .ok_or(format!("{context} needs a boolean `healthy`"))?;
+                    let status = match backend.get("queue_depth") {
+                        Some(_) => Some(parse_server_status(backend, &context)?),
+                        None => None,
                     };
                     parsed.push(BackendStatus {
                         addr,
@@ -1746,6 +1399,26 @@ pub(crate) fn parse_event(value: &Value) -> Result<Event, String> {
     }
 }
 
+/// Parses a daemon's flat load snapshot: a daemon `status` event, or
+/// one backend entry of a router aggregation.
+fn parse_server_status(value: &Value, context: &str) -> Result<ServerStatus, String> {
+    let field = |key: &str| {
+        value
+            .get(key)
+            .and_then(Value::as_u64)
+            .ok_or(format!("{context} needs an unsigned `{key}`"))
+    };
+    Ok(ServerStatus {
+        queue_depth: field("queue_depth")?,
+        queue_capacity: field("queue_capacity")?,
+        active_jobs: field("active_jobs")?,
+        workers: field("workers")?,
+        cache_size: field("cache_size")?,
+        uptime_ms: field("uptime_ms")?,
+        campaigns: parse_campaign_progress(value, context)?,
+    })
+}
+
 /// Parses the optional `campaigns` progress array of a daemon `status`
 /// answer (or a router aggregation's backend entry). Absence means "no
 /// campaign member in flight" — the typed form is an empty vector.
@@ -1795,6 +1468,17 @@ pub fn validate_event(value: &Value) -> Result<(), String> {
     parse_event(value).map(|_| ())
 }
 
+/// The fields of a `submit` request: the spec re-embedded (a `file`
+/// submit reaches a router's backends as an embedded manifest — they
+/// need no shared filesystem) plus the optional deadline.
+pub(crate) fn submit_fields(spec: &SuiteSpec, deadline_ms: Option<u64>) -> Vec<(String, Value)> {
+    let mut fields = vec![("suite".to_string(), spec.to_json())];
+    if let Some(ms) = deadline_ms {
+        fields.push(("deadline_ms".to_string(), Value::UInt(ms)));
+    }
+    fields
+}
+
 /// The result of one [`Client::submit`]: the terminal suite report plus
 /// the per-member outcome entries in manifest order, reassembled from
 /// the streamed events.
@@ -1834,6 +1518,26 @@ impl Client {
         Ok(Client { reader, writer })
     }
 
+    /// Connects the router to a backend: a 1 s connect timeout, so a
+    /// dead host fails fast, and with `probe` a 2 s read timeout, so a
+    /// wedged backend cannot hang a heartbeat or status poll. Proxy
+    /// streams read without a deadline — a long member session is
+    /// progress, and a killed backend surfaces as EOF, not silence.
+    pub(crate) fn connect_backend(addr: &str, probe: bool) -> Result<Self, ServeError> {
+        let resolved = addr
+            .to_socket_addrs()
+            .map_err(|e| ServeError::Io(format!("cannot resolve `{addr}`: {e}")))?
+            .next()
+            .ok_or_else(|| ServeError::Io(format!("`{addr}` resolves to no address")))?;
+        let writer = TcpStream::connect_timeout(&resolved, Duration::from_secs(1))
+            .map_err(|e| ServeError::Io(format!("cannot connect to `{addr}`: {e}")))?;
+        if probe {
+            writer.set_read_timeout(Some(Duration::from_secs(2)))?;
+        }
+        let reader = BufReader::new(writer.try_clone()?);
+        Ok(Client { reader, writer })
+    }
+
     fn send(&mut self, kind: &str, fields: Vec<(String, Value)>) -> Result<(), ServeError> {
         // The client frames requests exactly as the server frames
         // events — one shared envelope builder, so the two sides cannot
@@ -1847,7 +1551,7 @@ impl Client {
     /// to [`ServeError::Remote`] — callers log them first (the
     /// `--events` file must contain every received line, errors
     /// included).
-    fn read_event(&mut self) -> Result<(String, Value, Event), ServeError> {
+    pub(crate) fn read_event(&mut self) -> Result<(String, Value, Event), ServeError> {
         let mut line = String::new();
         let n = self.reader.read_line(&mut line)?;
         if n == 0 {
@@ -1855,10 +1559,46 @@ impl Client {
                 "server closed the connection mid-stream".into(),
             ));
         }
-        let value = json::parse(line.trim_end())
+        line.truncate(line.trim_end().len());
+        let value = json::parse(&line)
             .map_err(|e| ServeError::Protocol(format!("event is not valid JSON: {e}")))?;
         let event = parse_event(&value).map_err(ServeError::Protocol)?;
-        Ok((line.trim_end().to_string(), value, event))
+        Ok((line, value, event))
+    }
+
+    /// Sends one request and reads its first answer, keeping the raw
+    /// value beside the typed view (the router forwards and relabels
+    /// it).
+    pub(crate) fn request(
+        &mut self,
+        kind: &str,
+        fields: Vec<(String, Value)>,
+    ) -> Result<(Value, Event), ServeError> {
+        self.send(kind, fields)?;
+        let (_, value, event) = self.read_event()?;
+        Ok((value, event))
+    }
+
+    /// Sends one request and picks its typed answer: `pick` hands an
+    /// unexpected event back, and an `error` event becomes
+    /// [`ServeError::Remote`].
+    fn call<T>(
+        &mut self,
+        kind: &str,
+        fields: Vec<(String, Value)>,
+        expected: &str,
+        pick: impl FnOnce(Event) -> Result<T, Event>,
+    ) -> Result<T, ServeError> {
+        match pick(self.request(kind, fields)?.1) {
+            Ok(answer) => Ok(answer),
+            Err(Event::Error { class, message }) => Err(ServeError::Remote {
+                error: class,
+                message,
+            }),
+            Err(other) => Err(ServeError::Protocol(format!(
+                "expected `{expected}`, got {other:?}"
+            ))),
+        }
     }
 
     /// Liveness probe: sends `ping`, waits for `pong`.
@@ -1867,17 +1607,10 @@ impl Client {
     ///
     /// [`ServeError`] on socket or protocol failures.
     pub fn ping(&mut self) -> Result<(), ServeError> {
-        self.send("ping", Vec::new())?;
-        match self.read_event()?.2 {
+        self.call("ping", Vec::new(), "pong", |event| match event {
             Event::Pong => Ok(()),
-            Event::Error { class, message } => Err(ServeError::Remote {
-                error: class,
-                message,
-            }),
-            other => Err(ServeError::Protocol(format!(
-                "expected `pong`, got {other:?}"
-            ))),
-        }
+            other => Err(other),
+        })
     }
 
     /// Requests a load snapshot: sends `status`, waits for the typed
@@ -1889,17 +1622,10 @@ impl Client {
     ///
     /// [`ServeError`] on socket or protocol failures.
     pub fn status(&mut self) -> Result<StatusSnapshot, ServeError> {
-        self.send("status", Vec::new())?;
-        match self.read_event()?.2 {
+        self.call("status", Vec::new(), "status", |event| match event {
             Event::Status(status) => Ok(status),
-            Event::Error { class, message } => Err(ServeError::Remote {
-                error: class,
-                message,
-            }),
-            other => Err(ServeError::Protocol(format!(
-                "expected `status`, got {other:?}"
-            ))),
-        }
+            other => Err(other),
+        })
     }
 
     /// [`Client::status`] against a known daemon: unwraps the flat
@@ -1926,17 +1652,10 @@ impl Client {
     ///
     /// [`ServeError`] on socket or protocol failures.
     pub fn health(&mut self) -> Result<HealthInfo, ServeError> {
-        self.send("health", Vec::new())?;
-        match self.read_event()?.2 {
+        self.call("health", Vec::new(), "health", |event| match event {
             Event::Health(info) => Ok(info),
-            Event::Error { class, message } => Err(ServeError::Remote {
-                error: class,
-                message,
-            }),
-            other => Err(ServeError::Protocol(format!(
-                "expected `health`, got {other:?}"
-            ))),
-        }
+            other => Err(other),
+        })
     }
 
     /// Cancels an active job at its next member boundary (typically
@@ -1945,19 +1664,20 @@ impl Client {
     /// # Errors
     ///
     /// [`ServeError::Remote`] (class `queue`) when no such job is
-    /// active; [`ServeError`] on socket or protocol failures.
+    /// active; [`ServeError::Protocol`] when the acknowledgement names
+    /// another job; [`ServeError`] on socket failures.
     pub fn cancel(&mut self, job_id: u64) -> Result<(), ServeError> {
-        self.send("cancel", vec![("job_id".to_string(), Value::UInt(job_id))])?;
-        match self.read_event()?.2 {
-            Event::Cancelled { .. } => Ok(()),
-            Event::Error { class, message } => Err(ServeError::Remote {
-                error: class,
-                message,
-            }),
-            other => Err(ServeError::Protocol(format!(
-                "expected `cancelled`, got {other:?}"
-            ))),
+        let fields = vec![("job_id".to_string(), Value::UInt(job_id))];
+        let acked = self.call("cancel", fields, "cancelled", |event| match event {
+            Event::Cancelled { job_id } => Ok(job_id),
+            other => Err(other),
+        })?;
+        if acked != job_id {
+            return Err(ServeError::Protocol(format!(
+                "cancelled job {job_id} but the acknowledgement names job {acked}"
+            )));
         }
+        Ok(())
     }
 
     /// Asks the server to drain and exit; waits for the acknowledgement.
@@ -1966,17 +1686,15 @@ impl Client {
     ///
     /// [`ServeError`] on socket or protocol failures.
     pub fn shutdown(&mut self) -> Result<(), ServeError> {
-        self.send("shutdown", Vec::new())?;
-        match self.read_event()?.2 {
-            Event::ShuttingDown => Ok(()),
-            Event::Error { class, message } => Err(ServeError::Remote {
-                error: class,
-                message,
-            }),
-            other => Err(ServeError::Protocol(format!(
-                "expected `shutting_down`, got {other:?}"
-            ))),
-        }
+        self.call(
+            "shutdown",
+            Vec::new(),
+            "shutting_down",
+            |event| match event {
+                Event::ShuttingDown => Ok(()),
+                other => Err(other),
+            },
+        )
     }
 
     /// Submits a suite and blocks until the terminal `suite_report`
@@ -2016,11 +1734,7 @@ impl Client {
         deadline_ms: Option<u64>,
         mut on_event: impl FnMut(&str, &Value),
     ) -> Result<SubmitOutcome, ServeError> {
-        let mut fields = vec![("suite".to_string(), spec.to_json())];
-        if let Some(ms) = deadline_ms {
-            fields.push(("deadline_ms".to_string(), Value::UInt(ms)));
-        }
-        self.send("submit", fields)?;
+        self.send("submit", submit_fields(spec, deadline_ms))?;
         let (line, value, first) = self.read_event()?;
         on_event(&line, &value);
         let (job_id, members, setups_built) = match first {
@@ -2045,50 +1759,20 @@ impl Client {
             }
         };
         let mut slots: Vec<Option<Value>> = (0..members).map(|_| None).collect();
-        let fill = |slots: &mut Vec<Option<Value>>,
-                    event_job: u64,
-                    index: usize,
-                    entry: Value|
-         -> Result<(), ServeError> {
-            if event_job != job_id {
-                return Err(ServeError::Protocol("event for a different job".into()));
-            }
-            let slot = slots.get_mut(index).ok_or_else(|| {
-                ServeError::Protocol(format!(
-                    "member index {index} out of range (members = {members})"
-                ))
-            })?;
-            if slot.is_some() {
-                return Err(ServeError::Protocol(format!(
-                    "duplicate outcome for member {index}"
-                )));
-            }
-            *slot = Some(entry);
-            Ok(())
-        };
         loop {
             let (line, value, event) = self.read_event()?;
             on_event(&line, &value);
-            match event {
+            // Stage reports are progress, not outcomes: the terminal
+            // campaign entry repeats every stage, so nothing to
+            // reassemble for them.
+            let (event_job, outcome, terminal) = match event {
                 Event::MemberReport {
-                    job_id: event_job,
+                    job_id,
                     member_index,
                     entry,
-                } => {
-                    fill(&mut slots, event_job, member_index, entry)?;
-                }
-                // Stage reports are progress, not outcomes: the terminal
-                // campaign entry repeats every stage, so nothing to
-                // reassemble here.
-                Event::StageReport {
-                    job_id: event_job, ..
-                } => {
-                    if event_job != job_id {
-                        return Err(ServeError::Protocol("event for a different job".into()));
-                    }
-                }
+                } => (job_id, Some((member_index, entry)), None),
                 Event::MemberError {
-                    job_id: event_job,
+                    job_id,
                     member_index,
                     status,
                     message,
@@ -2097,45 +1781,13 @@ impl Client {
                         ("status".into(), Value::Str(status.as_str().into())),
                         ("message".into(), Value::Str(message)),
                     ]);
-                    fill(&mut slots, event_job, member_index, entry)?;
+                    (job_id, Some((member_index, entry)), None)
                 }
+                Event::StageReport { job_id, .. } => (job_id, None, None),
                 Event::SuiteReport {
-                    job_id: event_job,
+                    job_id,
                     suite_report,
-                } => {
-                    if event_job != job_id {
-                        return Err(ServeError::Protocol("event for a different job".into()));
-                    }
-                    let member_entries: Vec<Value> = slots
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, slot)| {
-                            slot.ok_or_else(|| {
-                                ServeError::Protocol(format!(
-                                    "terminal report arrived before member {i}"
-                                ))
-                            })
-                        })
-                        .collect::<Result<_, _>>()?;
-                    // The reassembly is the point of the (job_id, index)
-                    // tagging: manifest order from completion order.
-                    let embedded = suite_report
-                        .get("reports")
-                        .and_then(Value::as_array)
-                        .expect("validated");
-                    if embedded != member_entries.as_slice() {
-                        return Err(ServeError::Protocol(
-                            "reassembled member outcomes disagree with the terminal suite report"
-                                .into(),
-                        ));
-                    }
-                    return Ok(SubmitOutcome {
-                        job_id,
-                        setups_built,
-                        suite_report,
-                        members: member_entries,
-                    });
-                }
+                } => (job_id, None, Some(suite_report)),
                 Event::Error { class, message } => {
                     return Err(ServeError::Remote {
                         error: class,
@@ -2147,7 +1799,51 @@ impl Client {
                         "unexpected mid-stream event {other:?}"
                     )))
                 }
+            };
+            if event_job != job_id {
+                return Err(ServeError::Protocol("event for a different job".into()));
             }
+            if let Some((index, entry)) = outcome {
+                let slot = slots.get_mut(index).ok_or_else(|| {
+                    ServeError::Protocol(format!(
+                        "member index {index} out of range (members = {members})"
+                    ))
+                })?;
+                if slot.replace(entry).is_some() {
+                    return Err(ServeError::Protocol(format!(
+                        "duplicate outcome for member {index}"
+                    )));
+                }
+            }
+            let Some(suite_report) = terminal else {
+                continue;
+            };
+            let member_entries: Vec<Value> = slots
+                .into_iter()
+                .enumerate()
+                .map(|(i, slot)| {
+                    slot.ok_or_else(|| {
+                        ServeError::Protocol(format!("terminal report arrived before member {i}"))
+                    })
+                })
+                .collect::<Result<_, _>>()?;
+            // The reassembly is the point of the (job_id, index)
+            // tagging: manifest order from completion order.
+            let embedded = suite_report
+                .get("reports")
+                .and_then(Value::as_array)
+                .expect("validated");
+            if embedded != member_entries.as_slice() {
+                return Err(ServeError::Protocol(
+                    "reassembled member outcomes disagree with the terminal suite report".into(),
+                ));
+            }
+            return Ok(SubmitOutcome {
+                job_id,
+                setups_built,
+                suite_report,
+                members: member_entries,
+            });
         }
     }
 }

@@ -15,11 +15,11 @@
 //!   `cancelled` stage entry, and the daemon's `status` reports the
 //!   in-flight campaign's stage progress while it runs.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+mod common;
 
-use imcis_core::serve::{Client, ServeConfig, ServeError, Server, StatusSnapshot};
-use imcis_core::{MemberStatus, Router, RouterConfig, Suite, SuiteSpec};
+use common::{event_type, shut_down, spawn_daemon, spawn_router, RawWire};
+use imcis_core::serve::{Client, StatusSnapshot};
+use imcis_core::{MemberStatus, Suite, SuiteSpec};
 use serde::json::{self, Value};
 
 const CE_CAMPAIGN_SUITE: &str = concat!(
@@ -32,71 +32,6 @@ fn load_ce_campaign_suite() -> SuiteSpec {
         .expect("checked-in campaign manifest")
         .parse()
         .expect("checked-in campaign manifest parses")
-}
-
-fn spawn_daemon(workers: usize) -> (SocketAddr, std::thread::JoinHandle<Result<(), ServeError>>) {
-    let server = Server::bind(ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        workers,
-        queue: 16,
-        rate: 0,
-    })
-    .expect("ephemeral daemon bind");
-    let addr = server.local_addr();
-    (addr, server.spawn())
-}
-
-fn spawn_router(
-    backends: Vec<String>,
-) -> (SocketAddr, std::thread::JoinHandle<Result<(), ServeError>>) {
-    let router = Router::bind(RouterConfig {
-        addr: "127.0.0.1:0".into(),
-        backends,
-        queue: 64,
-        heartbeat_ms: 100,
-    })
-    .expect("ephemeral router bind");
-    let addr = router.local_addr();
-    (addr, router.spawn())
-}
-
-fn shut_down(addr: SocketAddr, handle: std::thread::JoinHandle<Result<(), ServeError>>) {
-    Client::connect(addr).unwrap().shutdown().unwrap();
-    handle.join().unwrap().unwrap();
-}
-
-/// A raw wire connection for tests that need to act at a precise point
-/// in the event stream (here: between campaign stages).
-struct RawWire {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl RawWire {
-    fn connect(addr: SocketAddr) -> Self {
-        let writer = TcpStream::connect(addr).unwrap();
-        let reader = BufReader::new(writer.try_clone().unwrap());
-        RawWire { reader, writer }
-    }
-
-    fn send(&mut self, line: &str) {
-        self.writer.write_all(line.as_bytes()).unwrap();
-        self.writer.write_all(b"\n").unwrap();
-    }
-
-    fn read_event(&mut self) -> Value {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line).unwrap();
-        assert!(n > 0, "server closed the connection unexpectedly");
-        json::parse(line.trim_end()).expect("events are valid JSON")
-    }
-}
-
-fn event_type(event: &Value) -> &str {
-    event
-        .get("type")
-        .and_then(Value::as_str)
-        .unwrap_or("<none>")
 }
 
 /// The campaign determinism acceptance criterion: the checked-in CE
@@ -207,7 +142,7 @@ fn served_campaign_suite_is_byte_identical_through_daemon_and_router() {
     };
 
     // Through the daemon.
-    let (addr, handle) = spawn_daemon(2);
+    let (addr, handle) = spawn_daemon(2, 16);
     let mut events = Vec::new();
     let mut client = Client::connect(addr).unwrap();
     let outcome = client
@@ -228,7 +163,7 @@ fn served_campaign_suite_is_byte_identical_through_daemon_and_router() {
 
     // Through a router-fronted fleet: same bytes, stage reports
     // forwarded.
-    let fleet: Vec<_> = (0..2).map(|_| spawn_daemon(2)).collect();
+    let fleet: Vec<_> = (0..2).map(|_| spawn_daemon(2, 16)).collect();
     let addrs: Vec<String> = fleet.iter().map(|(a, _)| a.to_string()).collect();
     let (router_addr, router_handle) = spawn_router(addrs);
     let mut events = Vec::new();
@@ -329,7 +264,7 @@ fn stage_faults_produce_typed_per_stage_entries() {
 #[test]
 fn cancel_stops_a_campaign_between_stages() {
     std::env::set_var(imcis_core::FAULT_ENV, "1");
-    let (addr, handle) = spawn_daemon(1);
+    let (addr, handle) = spawn_daemon(1, 16);
 
     let spec: SuiteSpec = r#"{
         "runs": [

@@ -15,26 +15,12 @@
 //! `stream_seed(fault_seed, member_index)`, so the failure messages
 //! asserted below are pure functions of the manifest.
 
-use imcis_core::serve::{Client, ServeConfig, ServeError, Server};
+mod common;
+
+use common::spawn_daemon;
+use imcis_core::serve::Client;
 use imcis_core::{validate_suite_report_json, MemberStatus, Suite, SuiteSpec, FAULT_ENV};
 use serde::json::Value;
-
-fn spawn_server(
-    workers: usize,
-) -> (
-    std::net::SocketAddr,
-    std::thread::JoinHandle<Result<(), ServeError>>,
-) {
-    let server = Server::bind(ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        workers,
-        queue: 16,
-        rate: 0,
-    })
-    .expect("ephemeral bind");
-    let addr = server.local_addr();
-    (addr, server.spawn())
-}
 
 /// Four cheap members over two scenarios; the faulty variant panics
 /// member 1 and injects a transient I/O error into member 3.
@@ -162,7 +148,7 @@ fn served_panics_are_supervised_at_worker_counts_1_2_8() {
         .pretty();
 
     for workers in [1usize, 2, 8] {
-        let (addr, handle) = spawn_server(workers);
+        let (addr, handle) = spawn_daemon(workers, 16);
         let mut client = Client::connect(addr).unwrap();
 
         // The panicking suite completes with typed member entries,

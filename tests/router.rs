@@ -21,72 +21,19 @@
 //!   backend's death flips its entry to unreachable while routing
 //!   continues on the survivors.
 
+mod common;
+
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use imcis_core::serve::{Client, ServeConfig, ServeError, Server, StatusSnapshot};
-use imcis_core::{dominant_cache_fingerprint, HashRing, Router, RouterConfig, Suite, SuiteSpec};
+use common::{batch_stable, spawn_daemon, spawn_router, tiny_suite};
+use imcis_core::serve::{Client, ServeError, StatusSnapshot};
+use imcis_core::{dominant_cache_fingerprint, HashRing, Suite, SuiteSpec};
 use serde::json::{self, Value};
 
 const TABLE1_SUITE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/specs/paper_table1_suite.json");
-
-fn spawn_daemon(
-    workers: usize,
-    queue: usize,
-) -> (SocketAddr, std::thread::JoinHandle<Result<(), ServeError>>) {
-    let server = Server::bind(ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        workers,
-        queue,
-        rate: 0,
-    })
-    .expect("ephemeral daemon bind");
-    let addr = server.local_addr();
-    (addr, server.spawn())
-}
-
-fn spawn_router(
-    backends: Vec<String>,
-) -> (SocketAddr, std::thread::JoinHandle<Result<(), ServeError>>) {
-    let router = Router::bind(RouterConfig {
-        addr: "127.0.0.1:0".into(),
-        backends,
-        queue: 64,
-        heartbeat_ms: 100,
-    })
-    .expect("ephemeral router bind");
-    let addr = router.local_addr();
-    (addr, router.spawn())
-}
-
-fn batch_stable(spec: &SuiteSpec) -> String {
-    Suite::from_spec(spec.clone())
-        .unwrap()
-        .run()
-        .unwrap()
-        .to_json_stable()
-        .pretty()
-}
-
-fn tiny_suite(seed: u64) -> SuiteSpec {
-    format!(
-        r#"{{
-            "runs": [
-                {{"scenario": {{"name": "illustrative"}},
-                 "method": {{"name": "smc", "n_traces": 200}},
-                 "seed": {seed}, "threads": 1}},
-                {{"scenario": {{"name": "illustrative"}},
-                 "method": {{"name": "standard-is", "n_traces": 200}},
-                 "seed": {seed}, "threads": 1}}
-            ],
-            "threads": 1
-        }}"#
-    )
-    .parse()
-    .unwrap()
-}
 
 /// Acceptance criterion: a routed suite is `cmp`-identical to the
 /// `imcis suite` batch artefact regardless of which backend ran it —
@@ -431,6 +378,13 @@ fn cancel_is_forwarded_to_the_owning_backend_and_relabelled() {
     std::env::set_var(imcis_core::FAULT_ENV, "1");
     let (daemon_addr, daemon_handle) = spawn_daemon(1, 16);
     let (router_addr, router_handle) = spawn_router(vec![daemon_addr.to_string()]);
+
+    // One job straight to the daemon first, so its job ids run ahead of
+    // the router's and a missing relabel cannot pass unnoticed.
+    Client::connect(daemon_addr)
+        .unwrap()
+        .submit(&tiny_suite(50), |_, _| {})
+        .unwrap();
 
     // A slow job through the router, on a raw wire so the stream stays
     // open while a second connection cancels.

@@ -19,95 +19,20 @@
 //!   idle client cannot delay a drain, and `shutting_down` reports
 //!   in-flight job dispositions.
 
-use std::io::{BufRead, BufReader, Write};
+mod common;
+
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 
-use imcis_core::serve::{Client, ServeConfig, ServeError, Server, RETRY_AFTER_MS};
+use common::{
+    batch_stable, event_type, shut_down, spawn_daemon, spawn_daemon_with, spawn_router, tiny_suite,
+    RawWire,
+};
+use imcis_core::serve::{Client, ServeConfig, ServeError, RETRY_AFTER_MS};
 use imcis_core::{Suite, SuiteSpec};
 use serde::json::{self, Value};
 
 const TABLE1_SUITE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/specs/paper_table1_suite.json");
-
-fn spawn_server(workers: usize) -> (SocketAddr, std::thread::JoinHandle<Result<(), ServeError>>) {
-    spawn_server_with_queue(workers, 8)
-}
-
-fn spawn_server_with_queue(
-    workers: usize,
-    queue: usize,
-) -> (SocketAddr, std::thread::JoinHandle<Result<(), ServeError>>) {
-    spawn_server_with_config(ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        workers,
-        queue,
-        rate: 0,
-    })
-}
-
-fn spawn_server_with_config(
-    config: ServeConfig,
-) -> (SocketAddr, std::thread::JoinHandle<Result<(), ServeError>>) {
-    let server = Server::bind(config).expect("ephemeral bind");
-    let addr = server.local_addr();
-    (addr, server.spawn())
-}
-
-fn shut_down(addr: SocketAddr, handle: std::thread::JoinHandle<Result<(), ServeError>>) {
-    Client::connect(addr).unwrap().shutdown().unwrap();
-    handle.join().unwrap().unwrap();
-}
-
-/// A raw wire connection for tests that need to send invalid bytes or
-/// hang up at a precise point in the stream.
-struct RawWire {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl RawWire {
-    fn connect(addr: SocketAddr) -> Self {
-        let writer = TcpStream::connect(addr).unwrap();
-        let reader = BufReader::new(writer.try_clone().unwrap());
-        RawWire { reader, writer }
-    }
-
-    fn send(&mut self, line: &str) {
-        self.writer.write_all(line.as_bytes()).unwrap();
-        self.writer.write_all(b"\n").unwrap();
-    }
-
-    fn read_event(&mut self) -> Value {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line).unwrap();
-        assert!(n > 0, "server closed the connection unexpectedly");
-        json::parse(line.trim_end()).expect("events are valid JSON")
-    }
-}
-
-fn event_type(event: &Value) -> &str {
-    event
-        .get("type")
-        .and_then(Value::as_str)
-        .unwrap_or("<none>")
-}
-
-fn tiny_suite(seed: u64) -> SuiteSpec {
-    format!(
-        r#"{{
-            "runs": [
-                {{"scenario": {{"name": "illustrative"}},
-                 "method": {{"name": "smc", "n_traces": 200}},
-                 "seed": {seed}, "threads": 1}},
-                {{"scenario": {{"name": "illustrative"}},
-                 "method": {{"name": "standard-is", "n_traces": 200}},
-                 "seed": {seed}, "threads": 1}}
-            ],
-            "threads": 1
-        }}"#
-    )
-    .parse()
-    .unwrap()
-}
 
 /// Acceptance criterion: the daemon-served Table 1 suite is
 /// byte-identical to `imcis suite specs/paper_table1_suite.json`, at
@@ -121,7 +46,7 @@ fn daemon_table1_suite_is_byte_identical_at_worker_counts_1_2_8() {
     let direct_stable = direct.to_json_stable().pretty();
 
     for workers in [1usize, 2, 8] {
-        let (addr, handle) = spawn_server(workers);
+        let (addr, handle) = spawn_daemon(workers, 8);
         let mut client = Client::connect(addr).unwrap();
         let outcome = client.submit(&spec, |_, _| {}).unwrap();
         assert_eq!(
@@ -140,9 +65,12 @@ fn daemon_table1_suite_is_byte_identical_at_worker_counts_1_2_8() {
     }
 }
 
-#[test]
-fn malformed_wire_json_is_an_error_event_and_the_connection_survives() {
-    let (addr, handle) = spawn_server(1);
+/// Sends every hostile line to one `imcis.wire/2` endpoint — a daemon
+/// or a router — on ONE connection: each is answered with a typed
+/// `wire` error, and the same connection then still serves a ping, a
+/// server-side file submit and a clean job byte-identical to the batch
+/// run.
+fn hostile_lines_are_wire_errors_and_the_connection_survives(addr: SocketAddr) {
     let mut wire = RawWire::connect(addr);
 
     // Not JSON at all: framing is line-based, so the server reports the
@@ -173,6 +101,45 @@ fn malformed_wire_json_is_an_error_event_and_the_connection_survives() {
         Some("unsupported wire schema `imcis.wire/9` (expected `imcis.wire/2`)")
     );
 
+    // Bytes that are not UTF-8 are a wire error too.
+    wire.writer.write_all(b"\xff\xfe\n").unwrap();
+    let event = wire.read_event();
+    assert_eq!(event.get("error").and_then(Value::as_str), Some("wire"));
+    let message = event.get("message").and_then(Value::as_str).unwrap();
+    assert!(
+        message.starts_with("request is not valid UTF-8"),
+        "{message}"
+    );
+
+    // A submit line whose suite is a million nested arrays: the bounded
+    // parser answers with a typed wire error instead of overflowing the
+    // stack.
+    let prefix = "{\"type\": \"submit\", \"suite\": ";
+    wire.send(&format!("{prefix}{}", "[".repeat(1_000_000)));
+    let event = wire.read_event();
+    assert_eq!(event_type(&event), "error");
+    assert_eq!(event.get("error").and_then(Value::as_str), Some("wire"));
+    let message = event.get("message").and_then(Value::as_str).unwrap();
+    assert!(
+        message.contains(&format!(
+            "JSON error at byte {}: nesting exceeds the depth limit ({})",
+            prefix.len() + json::MAX_DEPTH - 1,
+            json::MAX_DEPTH
+        )),
+        "{message}"
+    );
+
+    // A line over the 4 MiB cap is discarded unbuffered and answered
+    // with one error naming the cap.
+    wire.send(&"x".repeat(5 << 20));
+    let event = wire.read_event();
+    assert_eq!(event_type(&event), "error");
+    assert_eq!(event.get("error").and_then(Value::as_str), Some("wire"));
+    assert_eq!(
+        event.get("message").and_then(Value::as_str),
+        Some("request line exceeds the 4194304-byte limit")
+    );
+
     // The same connection still serves real requests afterwards —
     // including a server-side file-referenced submit.
     wire.send("{\"type\": \"ping\"}");
@@ -195,54 +162,47 @@ fn malformed_wire_json_is_an_error_event_and_the_connection_survives() {
     }
     assert_eq!(seen_members, 5);
 
+    // And a clean job, identical to the batch run.
+    let spec = tiny_suite(7);
+    wire.send(&format!(
+        "{{\"type\": \"submit\", \"suite\": {}}}",
+        spec.to_json()
+    ));
+    let served = loop {
+        let event = wire.read_event();
+        match event_type(&event) {
+            "accepted" | "member_report" => {}
+            "suite_report" => break event.get("suite_report").unwrap().pretty(),
+            other => panic!("unexpected event `{other}`"),
+        }
+    };
+    assert_eq!(served, batch_stable(&spec));
+}
+
+/// The hostile-line body against a daemon.
+#[test]
+fn malformed_wire_json_is_an_error_event_and_the_connection_survives() {
+    let (addr, handle) = spawn_daemon(1, 8);
+    hostile_lines_are_wire_errors_and_the_connection_survives(addr);
     shut_down(addr, handle);
 }
 
+/// The hostile-line body against a router in front of a daemon: the
+/// router answers every hostile line itself, and the daemon behind it
+/// keeps serving the routed jobs.
 #[test]
 fn hostile_json_nesting_is_an_error_event_and_the_daemon_keeps_serving() {
-    let (addr, handle) = spawn_server(1);
-    let mut wire = RawWire::connect(addr);
-
-    // A submit line whose suite is a million nested arrays: the bounded
-    // parser answers with a typed wire error instead of overflowing the
-    // daemon's stack.
-    let prefix = "{\"type\": \"submit\", \"suite\": ";
-    wire.send(&format!("{prefix}{}", "[".repeat(1_000_000)));
-    let event = wire.read_event();
-    assert_eq!(event_type(&event), "error");
-    assert_eq!(event.get("error").and_then(Value::as_str), Some("wire"));
-    let message = event.get("message").and_then(Value::as_str).unwrap();
-    assert!(
-        message.contains(&format!(
-            "JSON error at byte {}: nesting exceeds the depth limit ({})",
-            prefix.len() + json::MAX_DEPTH - 1,
-            json::MAX_DEPTH
-        )),
-        "{message}"
-    );
-
-    // The daemon then serves a clean job, identical to the batch run.
-    let spec = tiny_suite(7);
-    let served = Client::connect(addr)
-        .unwrap()
-        .submit(&spec, |_, _| {})
-        .unwrap()
-        .suite_report
-        .pretty();
-    let standalone = Suite::from_spec(spec)
-        .unwrap()
-        .run()
-        .unwrap()
-        .to_json_stable()
-        .pretty();
-    assert_eq!(served, standalone);
-
-    shut_down(addr, handle);
+    let (daemon_addr, daemon_handle) = spawn_daemon(1, 8);
+    let (router_addr, router_handle) = spawn_router(vec![daemon_addr.to_string()]);
+    hostile_lines_are_wire_errors_and_the_connection_survives(router_addr);
+    Client::connect(daemon_addr).unwrap().ping().unwrap();
+    shut_down(router_addr, router_handle);
+    daemon_handle.join().unwrap().unwrap();
 }
 
 #[test]
 fn invalid_suite_specs_reuse_the_pinned_spec_errors() {
-    let (addr, handle) = spawn_server(1);
+    let (addr, handle) = spawn_daemon(1, 8);
     let mut wire = RawWire::connect(addr);
 
     // An empty suite: the exact message the batch path pins.
@@ -308,7 +268,7 @@ fn invalid_suite_specs_reuse_the_pinned_spec_errors() {
 
 #[test]
 fn disconnecting_mid_stream_leaves_the_server_serving_and_the_cache_warm() {
-    let (addr, handle) = spawn_server(1);
+    let (addr, handle) = spawn_daemon(1, 8);
 
     // Client A submits and hangs up right after `accepted` — member
     // reports have nowhere to go.
@@ -401,7 +361,7 @@ fn drain_job(wire: &mut RawWire, members: usize) -> (Vec<String>, Value) {
 #[test]
 fn cancel_stops_a_job_at_the_next_member_boundary() {
     std::env::set_var(imcis_core::FAULT_ENV, "1");
-    let (addr, handle) = spawn_server(1);
+    let (addr, handle) = spawn_daemon(1, 8);
 
     // Member 0 sleeps for a second: with one worker, members 1 and 2
     // cannot start until it finishes — a wide-open cancellation window.
@@ -449,7 +409,7 @@ fn cancel_stops_a_job_at_the_next_member_boundary() {
 #[test]
 fn deadlines_turn_unstarted_members_into_typed_timeouts() {
     std::env::set_var(imcis_core::FAULT_ENV, "1");
-    let (addr, handle) = spawn_server(1);
+    let (addr, handle) = spawn_daemon(1, 8);
 
     // Member 0 starts inside the 100 ms deadline but sleeps 400 ms, so
     // the deadline has passed by the time members 1 and 2 would start.
@@ -497,7 +457,7 @@ fn a_full_queue_answers_rejected_instead_of_blocking() {
     std::env::set_var(imcis_core::FAULT_ENV, "1");
     // Queue capacity 2: the delayed 3-member suite can never fit, and a
     // 2-member suite fills the queue completely while it runs.
-    let (addr, handle) = spawn_server_with_queue(1, 2);
+    let (addr, handle) = spawn_daemon(1, 2);
 
     // Oversized: a typed queue error, not a hang.
     let mut wire = RawWire::connect(addr);
@@ -563,7 +523,7 @@ fn a_full_queue_answers_rejected_instead_of_blocking() {
 #[test]
 fn an_idle_client_cannot_delay_the_shutdown_drain() {
     std::env::set_var(imcis_core::FAULT_ENV, "1");
-    let (addr, handle) = spawn_server(1);
+    let (addr, handle) = spawn_daemon(1, 8);
 
     // A client that connects and never sends a line: without read
     // deadlines its handler thread would block in read_line forever and
@@ -614,7 +574,7 @@ fn an_idle_client_cannot_delay_the_shutdown_drain() {
 #[test]
 fn health_request_answers_identity_without_touching_the_queue() {
     std::env::set_var(imcis_core::FAULT_ENV, "1");
-    let (addr, handle) = spawn_server(1);
+    let (addr, handle) = spawn_daemon(1, 8);
 
     let mut wire = RawWire::connect(addr);
     wire.send("{\"wire\": \"imcis.wire/2\", \"type\": \"health\"}");
@@ -671,7 +631,7 @@ fn health_request_answers_identity_without_touching_the_queue() {
 /// honouring the hint the same connection submits successfully again.
 #[test]
 fn rate_limited_submits_answer_rejected_with_a_retry_hint() {
-    let (addr, handle) = spawn_server_with_config(ServeConfig {
+    let (addr, handle) = spawn_daemon_with(ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 1,
         queue: 8,
@@ -724,7 +684,7 @@ fn rate_limited_submits_answer_rejected_with_a_retry_hint() {
 
 #[test]
 fn concurrent_clients_get_reports_bit_identical_to_standalone_runs() {
-    let (addr, handle) = spawn_server(2);
+    let (addr, handle) = spawn_daemon(2, 8);
 
     let specs = [tiny_suite(7), tiny_suite(8)];
     let outcomes: Vec<String> = std::thread::scope(|scope| {
