@@ -37,7 +37,9 @@
 //!   (with the largest hint). The backend's event stream —
 //!   `accepted`, `member_report` / `member_error` in completion order,
 //!   terminal `suite_report` — is proxied back verbatim except for the
-//!   `job_id`, which is relabelled to the router's own id space.
+//!   `job_id`, which is relabelled to the router's own id space. If the
+//!   client disconnects, relaying stops and the backend stream is
+//!   closed, so the backend cancels the job's unstarted members.
 //! * `cancel` — mapped from the router job id to the owning backend and
 //!   forwarded there; the acknowledgement is relabelled back.
 //! * `status` — answered as the **aggregated** router shape
@@ -542,7 +544,9 @@ fn open_stream(
 
 /// Proxies one job: forward the relabelled stream, dedup member indices
 /// across failovers, resubmit on backend death. Returns `false` when
-/// the client vanished.
+/// the client vanished: relaying stops at the first failed write and
+/// the backend stream is dropped, so the backend sees the disconnect and
+/// cancels the job's unstarted members.
 fn proxy_job(
     spec: &SuiteSpec,
     deadline_ms: Option<u64>,
@@ -571,7 +575,7 @@ fn proxy_job(
     let mut client_alive = write_line(writer, &relabel_job_id(stream.accepted, job_id));
     let mut delivered = vec![false; members];
     let mut dead_backends: Vec<usize> = Vec::new();
-    loop {
+    while client_alive {
         match stream.conn.read_event() {
             Ok((_, value, decoded)) => match decoded {
                 Event::MemberReport { member_index, .. }
@@ -583,28 +587,22 @@ fn proxy_job(
                     if member_index < members && !delivered[member_index] => {
                         delivered[member_index] = true;
                         members_done.fetch_add(1, Ordering::SeqCst);
-                        if client_alive {
-                            client_alive = write_line(writer, &relabel_job_id(value, job_id));
-                        }
+                        client_alive = write_line(writer, &relabel_job_id(value, job_id));
                     }
                 // Campaign stage progress rides along for members the
                 // client is still waiting on; after a failover, stages a
                 // replacement backend re-runs for already-delivered
                 // members are suppressed with their member events.
                 Event::StageReport { member_index, .. }
-                    if member_index < members && !delivered[member_index] && client_alive => {
+                    if member_index < members && !delivered[member_index] => {
                         client_alive = write_line(writer, &relabel_job_id(value, job_id));
                     }
                 Event::SuiteReport { .. } => {
-                    if client_alive {
-                        client_alive = write_line(writer, &relabel_job_id(value, job_id));
-                    }
+                    client_alive = write_line(writer, &relabel_job_id(value, job_id));
                     break;
                 }
                 Event::Error { .. } => {
-                    if client_alive {
-                        client_alive = write_line(writer, &format!("{value}\n"));
-                    }
+                    client_alive = write_line(writer, &format!("{value}\n"));
                     break;
                 }
                 // Unsolicited event kinds on a submit stream: drop them
@@ -631,16 +629,14 @@ fn proxy_job(
                         }
                     }
                     Err(_) => {
-                        if client_alive {
-                            client_alive = write_line(
-                                writer,
-                                &error_event(
-                                    "queue",
-                                    "backend died mid-job and no live backend can take the \
-                                     re-route",
-                                ),
-                            );
-                        }
+                        client_alive = write_line(
+                            writer,
+                            &error_event(
+                                "queue",
+                                "backend died mid-job and no live backend can take the \
+                                 re-route",
+                            ),
+                        );
                         break;
                     }
                 }

@@ -57,6 +57,18 @@
 //! only** (`elapsed_ms`): the embedded report payloads are the stable
 //! forms, so the determinism contract survives the network hop.
 //!
+//! Framing: the daemon, the router and [`Client`] disable Nagle's
+//! algorithm (`TCP_NODELAY`) on every socket, and each event or request
+//! is one write of one complete line. A line is sent when it is
+//! written, not held back until the peer acknowledges the previous one
+//! (a delayed ACK costs ~40 ms per job otherwise). Third-party clients
+//! should set `TCP_NODELAY` too.
+//!
+//! A client that disconnects mid-job stops costing compute: the first
+//! failed event write cancels the job, so its unstarted members are
+//! skipped (the router likewise drops its backend stream, which the
+//! backend daemon sees as the same disconnect).
+//!
 //! # Supervision and degradation
 //!
 //! Member sessions run under `catch_unwind`
@@ -141,7 +153,7 @@ use crate::suite::{
     CampaignSpec, MemberOutcome, MemberStatus, SetupCache, StageOutcome, Suite, SuiteReport,
     SuiteSpec,
 };
-use crate::wire::{error_event, event, rejected_event, write_line, Endpoint, Role};
+use crate::wire::{disable_nagle, error_event, event, rejected_event, write_line, Endpoint, Role};
 
 /// Schema tag carried by every wire message, both directions.
 pub const WIRE_SCHEMA: &str = "imcis.wire/2";
@@ -234,6 +246,7 @@ impl Default for ServeConfig {
 /// handlers on other connections.
 struct JobControl {
     job_id: u64,
+    /// Set by a `cancel` request, or when the submitting client vanishes.
     cancelled: AtomicBool,
     /// Absolute member-start cutoff, measured from request receipt.
     deadline: Option<Instant>,
@@ -929,8 +942,9 @@ fn stream_job(
     drop(reply); // done_rx ends after the last member reports
     let mut slots: Vec<Option<MemberOutcome>> = (0..members).map(|_| None).collect();
     let mut per_run_ms = vec![0.0f64; members];
-    // If the client disconnects mid-stream we stop writing but keep
-    // draining: the workers still hold reply senders for this job.
+    // If the client disconnects mid-stream we stop writing and cancel
+    // the job (see `write_job_event`), but keep draining: the workers
+    // still hold reply senders for this job.
     let mut client_alive = true;
     for message in done_rx {
         let done = match message {
@@ -954,7 +968,7 @@ fn stream_job(
                             ("report".to_string(), stage.report),
                         ],
                     );
-                    client_alive = write_line(writer, &line);
+                    client_alive = write_job_event(writer, &line, control);
                 }
                 continue;
             }
@@ -989,7 +1003,7 @@ fn stream_job(
                 }
             };
             let line = event(kind, fields);
-            client_alive = write_line(writer, &line);
+            client_alive = write_job_event(writer, &line, control);
         }
         slots[done.member_index] = Some(done.outcome);
     }
@@ -1019,6 +1033,17 @@ fn stream_job(
         ],
     );
     write_line(writer, &line)
+}
+
+/// Writes one mid-job event. A failed write means the client vanished:
+/// the job is cancelled, so its unstarted members are skipped instead
+/// of computed for nobody. `false` when the client is gone.
+fn write_job_event(writer: &mut TcpStream, line: &str, control: &JobControl) -> bool {
+    let alive = write_line(writer, line);
+    if !alive {
+        control.cancelled.store(true, Ordering::SeqCst);
+    }
+    alive
 }
 
 /// A snapshot of daemon load, answered to a `status` request.
@@ -1500,7 +1525,8 @@ pub struct SubmitOutcome {
     pub members: Vec<Value>,
 }
 
-/// A wire-protocol client over one TCP connection.
+/// A wire-protocol client over one TCP connection, with Nagle's
+/// algorithm disabled like every `imcis.wire/2` socket.
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
@@ -1511,9 +1537,11 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Io`] when the connection cannot be established.
+    /// [`ServeError::Io`] when the connection cannot be established or
+    /// `TCP_NODELAY` cannot be set on it.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ServeError> {
         let writer = TcpStream::connect(addr)?;
+        disable_nagle(&writer)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(Client { reader, writer })
     }
@@ -1531,6 +1559,7 @@ impl Client {
             .ok_or_else(|| ServeError::Io(format!("`{addr}` resolves to no address")))?;
         let writer = TcpStream::connect_timeout(&resolved, Duration::from_secs(1))
             .map_err(|e| ServeError::Io(format!("cannot connect to `{addr}`: {e}")))?;
+        disable_nagle(&writer)?;
         if probe {
             writer.set_read_timeout(Some(Duration::from_secs(2)))?;
         }
@@ -1541,7 +1570,7 @@ impl Client {
     fn send(&mut self, kind: &str, fields: Vec<(String, Value)>) -> Result<(), ServeError> {
         // The client frames requests exactly as the server frames
         // events — one shared envelope builder, so the two sides cannot
-        // drift.
+        // drift — and sends each as one write of one complete line.
         self.writer.write_all(event(kind, fields).as_bytes())?;
         Ok(())
     }
@@ -1988,5 +2017,77 @@ mod tests {
 
         client.shutdown().unwrap();
         handle.join().unwrap().unwrap();
+    }
+
+    /// A role that answers every `submit` with `pong`, recording whether
+    /// the stream the endpoint handed it has Nagle disabled.
+    struct NagleProbe(Mutex<Vec<bool>>);
+
+    impl Role for NagleProbe {
+        type Connection = ();
+
+        fn connection(&self) {}
+
+        fn workers(&self) -> u64 {
+            0
+        }
+
+        fn submit(
+            &self,
+            _: &mut (),
+            _: &SuiteSpec,
+            _: Option<u64>,
+            writer: &mut TcpStream,
+        ) -> bool {
+            self.0.lock().unwrap().push(writer.nodelay().unwrap());
+            write_line(writer, &event("pong", []))
+        }
+
+        fn cancel(&self, _: u64) -> String {
+            unreachable!("the probe is never asked to cancel")
+        }
+
+        fn status(&self, _: u64) -> String {
+            unreachable!("the probe is never asked for status")
+        }
+
+        fn job_dispositions(&self) -> Vec<Value> {
+            Vec::new()
+        }
+    }
+
+    /// Every wire socket disables Nagle: the stream a role's `submit`
+    /// writes to, a `Client::connect` socket and a router backend
+    /// socket. No timing is involved, so this cannot flake.
+    #[test]
+    fn every_wire_socket_disables_nagle() {
+        let endpoint = Endpoint::bind("127.0.0.1:0", NagleProbe(Mutex::new(Vec::new()))).unwrap();
+        let addr = endpoint.local_addr();
+        let serving = {
+            let endpoint = Arc::clone(&endpoint);
+            std::thread::spawn(move || endpoint.serve())
+        };
+
+        let mut client = Client::connect(addr).unwrap();
+        assert!(client.writer.nodelay().unwrap(), "Client::connect socket");
+        let backend = Client::connect_backend(&addr.to_string(), false).unwrap();
+        assert!(
+            backend.writer.nodelay().unwrap(),
+            "Client::connect_backend socket"
+        );
+        drop(backend);
+
+        let (_, answer) = client
+            .request("submit", submit_fields(&tiny_suite(), None))
+            .unwrap();
+        assert!(matches!(answer, Event::Pong), "got {answer:?}");
+        assert_eq!(
+            *endpoint.role.0.lock().unwrap(),
+            [true],
+            "the accepted stream a role submits to"
+        );
+
+        client.shutdown().unwrap();
+        serving.join().unwrap().unwrap();
     }
 }

@@ -17,6 +17,15 @@
 //! open. The cap applies to client input only. The router reads its
 //! backends' event streams through [`crate::serve::Client`] without a
 //! cap, because backends are trusted.
+//!
+//! Framing: every wire socket — each accepted connection here, and
+//! each [`crate::serve::Client`] connection (the CLI's, the router's
+//! backend streams) — has Nagle's algorithm disabled (`TCP_NODELAY`)
+//! through [`disable_nagle`], and every event or request goes out as
+//! one write of one complete line ([`write_line`]). A line therefore
+//! leaves the socket as soon as it is written instead of waiting for
+//! the peer's delayed ACK of the previous one (~40 ms), and no line is
+//! split into extra segments.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -228,6 +237,9 @@ impl<R: Role> Endpoint<R> {
         // client that connects and never sends a line cannot delay the
         // shutdown drain.
         let _ = read_half.set_read_timeout(Some(Duration::from_millis(READ_POLL_MS)));
+        // Best effort, like the timeout: a socket that keeps Nagle on
+        // still serves, only slower.
+        let _ = disable_nagle(&stream);
         let mut writer = stream;
         let mut reader = BufReader::new(read_half);
         let mut connection = self.role.connection();
@@ -301,7 +313,17 @@ impl<R: Role> Endpoint<R> {
     }
 }
 
-/// Writes one event line; `false` when the client is gone.
+/// Disables Nagle's algorithm on a wire socket. Each event is one
+/// [`write_line`], so there is nothing to coalesce; with Nagle on, a
+/// small line written while the previous one is unacknowledged waits
+/// for the peer's delayed ACK.
+pub(crate) fn disable_nagle(stream: &TcpStream) -> io::Result<()> {
+    stream.set_nodelay(true)
+}
+
+/// Writes one event line — one `write_all` of the complete line, so a
+/// socket without Nagle sends it whole; `false` when the client is
+/// gone.
 pub(crate) fn write_line(writer: &mut TcpStream, line: &str) -> bool {
     writer.write_all(line.as_bytes()).is_ok()
 }

@@ -10,6 +10,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use imcis_core::serve::{Client, ServeConfig, ServeError, Server};
 use imcis_core::{Router, RouterConfig, Suite, SuiteSpec};
@@ -84,6 +85,65 @@ pub fn tiny_suite(seed: u64) -> SuiteSpec {
     )
     .parse()
     .unwrap()
+}
+
+/// A suite of `members` cheap SMC members that each sleep `delay_ms`
+/// before running: on a 1-worker daemon it holds the worker for
+/// `members × delay_ms`. Requires `IMCIS_FAULT_INJECTION=1`.
+pub fn all_delayed_suite(seed: u64, members: usize, delay_ms: u64) -> SuiteSpec {
+    let runs: Vec<String> = (0..members as u64)
+        .map(|i| {
+            format!(
+                r#"{{"scenario": {{"name": "illustrative"}},
+                    "method": {{"name": "smc", "n_traces": 200}},
+                    "seed": {}, "threads": 1}}"#,
+                seed + i
+            )
+        })
+        .collect();
+    let injections: Vec<String> = (0..members)
+        .map(|i| format!(r#"{{"member": {i}, "kind": "delay", "delay_ms": {delay_ms}}}"#))
+        .collect();
+    format!(
+        r#"{{"runs": [{}], "threads": 1,
+             "fault": {{"seed": 1, "injections": [{}]}}}}"#,
+        runs.join(", "),
+        injections.join(", ")
+    )
+    .parse()
+    .unwrap()
+}
+
+/// Submits `spec` on a raw wire, reads its `accepted` event and hangs
+/// up without reading another byte. Returns the `accepted` event.
+pub fn submit_and_vanish(addr: SocketAddr, spec: &SuiteSpec) -> Value {
+    let mut wire = RawWire::connect(addr);
+    wire.send(&format!(
+        "{{\"type\": \"submit\", \"suite\": {}}}",
+        spec.to_json()
+    ));
+    let accepted = wire.read_event();
+    assert_eq!(event_type(&accepted), "accepted");
+    accepted
+}
+
+/// Polls the daemon at `addr` until no job is active and its queue is
+/// empty. Panics once `bound` has passed.
+pub fn wait_until_idle(addr: SocketAddr, bound: Duration) {
+    let started = Instant::now();
+    let mut client = Client::connect(addr).unwrap();
+    loop {
+        let status = client.daemon_status().unwrap();
+        let waited = started.elapsed();
+        if status.active_jobs == 0 && status.queue_depth == 0 {
+            return;
+        }
+        assert!(
+            waited < bound,
+            "daemon still busy after {waited:?}: {status:?}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
 }
 
 /// A raw wire connection.

@@ -27,8 +27,12 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
-use common::{batch_stable, spawn_daemon, spawn_router, tiny_suite};
+use common::{
+    all_delayed_suite, batch_stable, spawn_daemon, spawn_router, submit_and_vanish, tiny_suite,
+    wait_until_idle,
+};
 use imcis_core::serve::{Client, ServeError, StatusSnapshot};
 use imcis_core::{dominant_cache_fingerprint, HashRing, Suite, SuiteSpec};
 use serde::json::{self, Value};
@@ -444,6 +448,35 @@ fn cancel_is_forwarded_to_the_owning_backend_and_relabelled() {
         }
         other => panic!("expected a remote queue error, got {other}"),
     }
+
+    Client::connect(router_addr).unwrap().shutdown().unwrap();
+    router_handle.join().unwrap().unwrap();
+    daemon_handle.join().unwrap().unwrap();
+}
+
+/// A client that vanishes after `accepted` stops costing compute behind
+/// the router too: the router's first failed write ends the relay and
+/// closes the backend stream, and the daemon's next failed write
+/// cancels the job. 30 members × 100 ms hold the daemon's single worker
+/// for 3 s if they all run; with both hops cancelling, about five run,
+/// so the daemon idles after ~0.5 s. The 1.5 s bound leaves a 2× margin
+/// on both sides.
+#[test]
+fn a_vanished_client_stops_costing_compute_behind_the_router() {
+    std::env::set_var(imcis_core::FAULT_ENV, "1");
+    let (daemon_addr, daemon_handle) = spawn_daemon(1, 32);
+    let (router_addr, router_handle) = spawn_router(vec![daemon_addr.to_string()]);
+
+    submit_and_vanish(router_addr, &all_delayed_suite(70, 30, 100));
+    wait_until_idle(daemon_addr, Duration::from_millis(1_500));
+
+    // The router serves the next client as before.
+    let spec = tiny_suite(71);
+    let outcome = Client::connect(router_addr)
+        .unwrap()
+        .submit(&spec, |_, _| {})
+        .unwrap();
+    assert_eq!(outcome.suite_report.pretty(), batch_stable(&spec));
 
     Client::connect(router_addr).unwrap().shutdown().unwrap();
     router_handle.join().unwrap().unwrap();

@@ -23,10 +23,11 @@ mod common;
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
 
 use common::{
-    batch_stable, event_type, shut_down, spawn_daemon, spawn_daemon_with, spawn_router, tiny_suite,
-    RawWire,
+    all_delayed_suite, batch_stable, event_type, shut_down, spawn_daemon, spawn_daemon_with,
+    spawn_router, submit_and_vanish, tiny_suite, wait_until_idle, RawWire,
 };
 use imcis_core::serve::{Client, ServeConfig, ServeError, RETRY_AFTER_MS};
 use imcis_core::{Suite, SuiteSpec};
@@ -266,37 +267,35 @@ fn invalid_suite_specs_reuse_the_pinned_spec_errors() {
     shut_down(addr, handle);
 }
 
+/// A client that hangs up after `accepted` leaves the daemon serving
+/// with its cache warm, and stops costing compute: the daemon's first
+/// failed event write cancels the job, so the worker skips the
+/// unstarted members. 30 members × 100 ms hold the single worker for
+/// 3 s if they all run; with the cancel about three run (the write
+/// after the hang-up still succeeds, the next one fails), so the daemon
+/// idles after ~0.3 s. The 1.5 s bound leaves a 2× margin on both
+/// sides.
 #[test]
 fn disconnecting_mid_stream_leaves_the_server_serving_and_the_cache_warm() {
-    let (addr, handle) = spawn_daemon(1, 8);
+    std::env::set_var(imcis_core::FAULT_ENV, "1");
+    let (addr, handle) = spawn_daemon(1, 32);
 
     // Client A submits and hangs up right after `accepted` — member
     // reports have nowhere to go.
-    let spec = tiny_suite(41);
-    {
-        let mut wire = RawWire::connect(addr);
-        wire.send(&format!(
-            "{{\"type\": \"submit\", \"suite\": {}}}",
-            spec.to_json()
-        ));
-        let event = wire.read_event();
-        assert_eq!(event_type(&event), "accepted");
-        assert_eq!(event.get("setups_built").and_then(Value::as_u64), Some(1));
-        // Hang up without reading another byte.
-    }
+    let accepted = submit_and_vanish(addr, &all_delayed_suite(41, 30, 100));
+    assert_eq!(
+        accepted.get("setups_built").and_then(Value::as_u64),
+        Some(1)
+    );
+    wait_until_idle(addr, Duration::from_millis(1_500));
 
     // Client B gets full service from the same daemon; the scenario A's
     // aborted job built is already cached (setups_built == 0).
-    let direct = Suite::from_spec(spec.clone())
-        .unwrap()
-        .run()
-        .unwrap()
-        .to_json_stable()
-        .pretty();
+    let spec = tiny_suite(41);
     let mut client = Client::connect(addr).unwrap();
     let outcome = client.submit(&spec, |_, _| {}).unwrap();
     assert_eq!(outcome.setups_built, 0, "cache survived the disconnect");
-    assert_eq!(outcome.suite_report.pretty(), direct);
+    assert_eq!(outcome.suite_report.pretty(), batch_stable(&spec));
 
     shut_down(addr, handle);
 }
